@@ -154,26 +154,23 @@ def atlas_build(
 
     # dominated anchors: inside the window and under the small-angle bound
     for pt in atlas.observed:
+        # the window admits cos phi down to -1e-12, where phi exceeds pi/2
+        phi = min(max(pt.phi, cutoff.phi_c), math.pi / 2)
         if cutoff.contains(pt.cos_phi, pt.rate) and pt.phi > 0 \
-                and pt.rate <= kl_bound(max(pt.phi, cutoff.phi_c)) + 1e-9:
+                and pt.rate <= kl_bound(phi) + 1e-9:
             atlas.dominated_anchors.append(pt)
 
     phi_grid = np.linspace(cutoff.phi_c, math.pi / 2, grid_cells)
-    envelope = np.zeros(grid_cells)
-    regions = [
-        ControllingRegions((p.cos_phi, p.rate), cutoff)
-        for p in atlas.dominated_anchors
-    ]
-    for j, phi in enumerate(phi_grid):
-        x = math.cos(phi)
-        best = 0.0
-        for reg in regions:
-            best = max(best, reg.lower_boundary(x))
-        envelope[j] = min(best, kl_bound(phi))
-    # enforce non-increasing in phi (running max from large phi to small)
-    for j in range(grid_cells - 2, -1, -1):
-        envelope[j] = max(envelope[j], envelope[j + 1])
-        envelope[j] = min(envelope[j], kl_bound(float(phi_grid[j])))
+    x = np.cos(phi_grid)
+    h = np.array([kl_bound(float(phi)) for phi in phi_grid])
+    best = np.zeros(grid_cells)
+    cap = cutoff.rate_cap
+    for p in atlas.dominated_anchors:
+        reg = ControllingRegions((p.cos_phi, p.rate), cutoff)
+        best = np.maximum(best, np.clip(np.minimum(reg.line1(x), reg.line2(x)), 0.0, cap))
+    # non-increasing in phi: running max from large phi to small; H
+    # decreases, so clipping by it again keeps the envelope non-increasing
+    envelope = np.minimum(np.maximum.accumulate(np.minimum(best, h)[::-1])[::-1], h)
     atlas.phi_grid = phi_grid
     atlas.envelope = envelope
     return atlas

@@ -15,24 +15,8 @@ from typing import Callable
 import numpy as np
 
 from . import geometry
+from .kl import kl_bound
 from .spherical import SphericalCode
-
-
-def kl_bound(phi: float) -> float:
-    """Asymptotic upper bound H(phi) on the rate for 0 < phi <= pi/2.
-
-    H = a log2 a - b log2 b with a = (1+s)/(2s), b = (1-s)/(2s), s = sin phi,
-    using the convention 0 * log 0 = 0 (forced at phi = pi/2).
-    """
-    if not (0.0 < phi <= math.pi / 2):
-        raise ValueError(f"phi must be in (0, pi/2], got {phi}")
-    s = math.sin(phi)
-    a = (1.0 + s) / (2.0 * s)
-    b = (1.0 - s) / (2.0 * s)
-    val = a * math.log2(a)
-    if b > 0.0:
-        val -= b * math.log2(b)
-    return val
 
 
 def rankin_curve(n: int, phi: float) -> tuple[float, float]:
@@ -209,15 +193,17 @@ class ControllingRegions:
         self.cutoff = cutoff
 
     def line1(self, x: float) -> float:
+        """Line through (-1, 0) and the anchor; ``x`` may be an array."""
         ax, ay = self.anchor
         return ay * (x + 1.0) / (ax + 1.0)
 
     def line2(self, x: float) -> float:
+        """Line through the cutoff corner and the anchor; ``x`` may be an array."""
         ax, ay = self.anchor
         cx, cy = self.cutoff.cos_phi_c, float(self.cutoff.a_c)
         if abs(cx - ax) < 1e-15:
             # anchor on the cutoff edge: treat line2 as vertical
-            return math.inf if x < ax else -math.inf
+            return np.where(np.less(x, ax), math.inf, -math.inf)[()]
         return ay + (cy - ay) * (x - ax) / (cx - ax)
 
     def membership(self, q: tuple[float, float], eps: float = 1e-12) -> str:

@@ -135,45 +135,42 @@ def orthonormal_complement(normal: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of the hyperplane orthogonal to ``normal``.
 
     Returns an (m, m-1) matrix whose columns are the basis vectors.  The
-    construction pivots on the largest-magnitude coordinate of the normal
-    (dropping that coordinate axis) and Gram-Schmidts the remaining axes,
-    which is stable and reproducible.
+    construction pivots on the largest-magnitude coordinate of the normal,
+    projects the other coordinate axes onto the hyperplane and takes their
+    QR factorization with R's diagonal made positive: up to rounding, the
+    Gram-Schmidt basis of the projected axes in coordinate order.
     """
     w = as_unit(normal)
-    m = w.size
-    pivot = int(np.argmax(np.abs(w)))
-    basis = []
-    for j in range(m):
-        if j == pivot:
-            continue
-        v = np.zeros(m)
-        v[j] = 1.0
-        v = v - np.dot(v, w) * w
-        for b in basis:
-            v = v - np.dot(v, b) * b
-        v = v / np.linalg.norm(v)
-        basis.append(v)
-    return np.column_stack(basis) if basis else np.zeros((m, 0))
+    keep = np.arange(w.size) != np.argmax(np.abs(w))
+    q, r = np.linalg.qr(np.eye(w.size)[:, keep] - np.outer(w, w[keep]))
+    return q * np.sign(r.diagonal())
+
+
+def project_points(points, line: LineThroughOrigin) -> tuple[np.ndarray, np.ndarray]:
+    """Project unit vectors off the line, renormalize, re-express in n-1 coords.
+
+    ``points`` is a (card, n) array.  Returns ``(images, axis_components)``:
+    row i of ``images`` is the unit vector of dimension n-1 that point i
+    projects to, written in the basis ``orthonormal_complement(direction)``,
+    and ``axis_components[i]`` is <x_i, direction>.
+
+    Raises PointOnAxis when a point is (numerically) parallel to the line.
+    """
+    x = np.asarray(points, dtype=float)
+    d = line.direction
+    if x.ndim != 2 or x.shape[1] != d.size:
+        raise DimensionMismatch(f"points of shape {x.shape} != line dimension {d.size}")
+    if np.any(np.abs(np.sqrt(np.vecdot(x, x)) - 1.0) > EPS_UNIT):
+        raise ValueError(f"point norms are not within {EPS_UNIT} of 1")
+    comps = x @ d
+    resid = x - comps[:, None] * d
+    nrms = np.sqrt(np.vecdot(resid, resid))
+    if np.any(nrms <= EPS_UNIT):
+        raise PointOnAxis("point lies on the projection axis")
+    return (resid @ orthonormal_complement(d)) / nrms[:, None], comps
 
 
 def project_and_normalize(x, line: LineThroughOrigin) -> tuple[np.ndarray, float]:
-    """Project a unit vector off the line, renormalize, re-express in n-1 coords.
-
-    Returns ``(image, axis_component)`` where ``image`` is a unit vector of
-    dimension n-1 written in the deterministic basis of the hyperplane
-    orthogonal to the line, and ``axis_component`` is <x, direction>.
-
-    Raises PointOnAxis when x is (numerically) parallel to the line.
-    """
-    x = as_unit(x)
-    d = line.direction
-    if x.size != d.size:
-        raise DimensionMismatch(f"point dimension {x.size} != line dimension {d.size}")
-    comp = float(np.dot(x, d))
-    resid = x - comp * d
-    nrm = float(np.linalg.norm(resid))
-    if nrm <= EPS_UNIT:
-        raise PointOnAxis("point lies on the projection axis")
-    basis = orthonormal_complement(d)
-    image = (basis.T @ resid) / nrm
-    return image, comp
+    """One-point form of :func:`project_points`: ``(image, axis_component)``."""
+    images, comps = project_points(as_unit(x)[None, :], line)
+    return images[0], float(comps[0])

@@ -17,6 +17,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gammaln
 
+from .bounds import circle_max_points, kl_bound, rankin_curve
 from .errors import BudgetExceeded, InputFormatError
 from .spherical import SphericalCode
 
@@ -317,8 +318,6 @@ def max_code_density(n: int, phi: float, max_points: float) -> float:
 
 def estimate_max_points(n: int, phi: float) -> tuple[float, str]:
     """Best available cardinality estimate with a label describing its nature."""
-    from .bounds import circle_max_points, kl_bound, rankin_curve
-
     if n == 2:
         return float(circle_max_points(phi)), "exact-circle"
     if phi > math.pi / 2:

@@ -8,6 +8,7 @@ requested parameter template.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,6 +26,10 @@ from .errors import (
     SearchBudgetExhausted,
 )
 from .geometry import EPS_ANGLE, EPS_UNIT, Hyperplane, LineThroughOrigin
+from .kl import kl_bound
+
+# Gram and candidate-score blocks hold at most this many float64 entries.
+BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -49,6 +54,8 @@ class SphericalCode:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError("points must be a (card, n) array with card, n >= 1")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("points must have finite coordinates")
         norms = np.linalg.norm(pts, axis=1)
         if normalize:
             if np.any(norms <= EPS_UNIT):
@@ -111,16 +118,24 @@ class SphericalCode:
 
 
 def merge_close_points(pts: np.ndarray, eps: float = EPS_ANGLE) -> np.ndarray:
-    """Drop points whose angle to an earlier point is below ``eps``."""
-    keep: list[int] = []
-    for i in range(pts.shape[0]):
-        dup = False
-        for j in keep:
-            if geometry.angle_between(pts[i], pts[j]) < eps:
-                dup = True
-                break
-        if not dup:
-            keep.append(i)
+    """Drop points whose angle to an earlier kept point is below ``eps``.
+
+    The first point of each close group is kept.  Row blocks of the Gram
+    matrix select the pairs with cosine near cos(eps), and only those are
+    tested with :func:`geometry.angle_between`.  Note that arccos resolves
+    angles next to 0 only to about 1.5e-8 (its step below 1.0), so the
+    default ``EPS_ANGLE`` merges exactly the pairs whose clamped dot is 1.
+    """
+    card = pts.shape[0]
+    threshold = np.cos(eps) - 1e-12  # margin for the rounding of the Gram entries
+    keep = np.ones(card, dtype=bool)
+    rows = max(1, BLOCK_ENTRIES // max(card, 1))
+    for start in range(0, card, rows):
+        near_i, near_j = np.nonzero(pts[start:start + rows] @ pts[:start + rows].T >= threshold)
+        for i, j in zip((near_i + start).tolist(), near_j.tolist()):
+            if j < i and keep[i] and keep[j] \
+                    and geometry.angle_between(pts[i], pts[j]) < eps:
+                keep[i] = False
     return pts[keep]
 
 
@@ -172,13 +187,8 @@ def spoil2(code: SphericalCode, line: LineThroughOrigin) -> tuple[SphericalCode,
         raise DimensionMismatch("line dimension does not match the code")
     if code.dimension < 2:
         raise DegenerateCode("cannot project a code on S^0")
-    images = []
-    xi = 1.0
-    for x in code.points:
-        img, comp = geometry.project_and_normalize(x, line)
-        images.append(img)
-        xi = min(xi, float(np.sqrt(max(0.0, 1.0 - comp * comp))))
-    pts = np.asarray(images)
+    pts, comps = geometry.project_points(code.points, line)
+    xi = min(1.0, float(np.min(np.sqrt(np.maximum(0.0, 1.0 - comps * comps)))))
     merged = merge_close_points(pts)
     if merged.shape[0] < pts.shape[0]:
         warnings.warn(
@@ -214,10 +224,56 @@ def spoil3(code: SphericalCode, line: LineThroughOrigin, sign: int) -> Spherical
     return SphericalCode(code.points[mask], check_distinct=False)
 
 
-def hemisphere_counts(code: SphericalCode, line: LineThroughOrigin) -> tuple[int, int]:
-    dots = code.points @ line.direction
-    plus = int(np.count_nonzero(dots >= 0.0))
-    return plus, code.card - plus
+def _candidate_blocks(pts: np.ndarray, seed: int, rows: int):
+    """Candidate split directions in blocks: every code point as it is, then
+    the normalized midpoints of the pairs i < j in lexicographic order
+    (skipping those of norm <= EPS_UNIT), then unit directions drawn
+    ``rows`` at a time from ``default_rng(seed)``, as one at a time would.
+    """
+    card, n = pts.shape
+    yield pts
+    step = max(1, rows // card)  # first points of the pairs in one block
+    for i in range(0, card - 1, step):
+        ii, jj = np.nonzero(np.arange(card) > np.arange(i, min(i + step, card))[:, None])
+        mid = pts[ii + i] + pts[jj]
+        nrm = np.sqrt(np.vecdot(mid, mid))
+        yield mid[nrm > EPS_UNIT] / nrm[nrm > EPS_UNIT, None]
+    rng = np.random.default_rng(seed)
+    while True:
+        v = rng.standard_normal((rows, n))
+        yield v / np.sqrt(np.vecdot(v, v))[:, None]
+
+
+def _scored_candidates(code: SphericalCode, seed: int):
+    """The first 10 * card * n candidate directions, scored a block at a time.
+
+    Yields ``(dirs, dots, clean)``: ``dots = dirs @ points.T`` and ``clean``
+    marks the rows whose points all lie farther than EPS_UNIT from the
+    separating hyperplane.  Rows whose nearest point is within a factor 2
+    of EPS_UNIT are scored again as ``points @ dir``, so that ``clean`` is
+    what scoring each direction on its own gives.
+    """
+    pts = code.points
+    left = 10 * code.card * code.dimension
+    rows = max(1, min(BLOCK_ENTRIES // code.card, left))
+    for block in _candidate_blocks(pts, seed, rows):
+        for start in range(0, block.shape[0], rows):
+            dirs = block[start:start + rows][:left]
+            dots = dirs @ pts.T
+            closest = np.min(np.abs(dots), axis=1)
+            for r in np.flatnonzero((closest > EPS_UNIT / 2) & (closest <= 2 * EPS_UNIT)):
+                dots[r] = pts @ dirs[r]
+                closest[r] = np.min(np.abs(dots[r]))
+            yield dirs, dots, closest > EPS_UNIT
+            left -= dirs.shape[0]
+            if left <= 0:
+                return
+
+
+def _first_split(hits: np.ndarray, dirs: np.ndarray, counts: np.ndarray):
+    """(line, sign, count) at the first True of a (k, 2) mask of (row, sign)."""
+    r, s = divmod(int(np.argmax(hits)), 2)
+    return LineThroughOrigin(dirs[r]), 1 - 2 * s, int(counts[r, s])
 
 
 def find_balanced_line(
@@ -225,50 +281,36 @@ def find_balanced_line(
 ) -> tuple[LineThroughOrigin, int, int]:
     """Find a line whose better hemisphere holds c points, card/2 <= c < card.
 
-    Candidates are tried deterministically: every code point as direction,
-    then normalized midpoints of point pairs, then seeded pseudorandom
-    directions, with a budget of 10 * card * n trials.  Candidates leaving
-    a point within EPS_UNIT of the separating hyperplane are skipped while
-    alternatives remain.
+    Candidates are scored deterministically, a block at a time: every code
+    point as direction, then normalized midpoints of point pairs, then
+    seeded pseudorandom directions, with a budget of 10 * card * n trials.
+    The first admissible (candidate, sign), +1 before -1, wins; candidates
+    leaving a point within EPS_UNIT of the separating hyperplane are skipped
+    while alternatives remain.
 
     Returns ``(line, sign, count)``.
     """
     if code.card < 2:
         raise DegenerateCode("balanced split needs at least two points")
-    n, card = code.dimension, code.card
-    budget = 10 * card * n
-    rng = np.random.default_rng(seed)
-
-    def candidates():
-        for p in code.points:
-            yield p
-        for i in range(card):
-            for j in range(i + 1, card):
-                mid = code.points[i] + code.points[j]
-                nrm = np.linalg.norm(mid)
-                if nrm > EPS_UNIT:
-                    yield mid / nrm
-        while True:
-            v = rng.standard_normal(n)
-            yield v / np.linalg.norm(v)
-
+    pts, card = code.points, code.card
     fallback = None
-    for trial, direction in enumerate(candidates()):
-        if trial >= budget:
-            break
-        line = LineThroughOrigin(direction)
-        dots = code.points @ line.direction
-        plus, minus = hemisphere_counts(code, line)
-        for sign, count in ((+1, plus), (-1, minus)):
-            if card / 2 <= count < card:
-                result = (line, sign, count)
-                if np.min(np.abs(dots)) > EPS_UNIT:
-                    return result
-                if fallback is None:
-                    fallback = result
+    for dirs, dots, clean in _scored_candidates(code, seed):
+        if fallback is None and not clean.all():
+            # the side of a point next to the plane is the one that scoring
+            # the direction on its own gives
+            dots[~clean] = [pts @ d for d in dirs[~clean]]
+        plus = np.count_nonzero(dots >= 0.0, axis=1)
+        counts = np.column_stack([plus, card - plus])  # signs +1, -1
+        valid = (card / 2 <= counts) & (counts < card)
+        if (valid & clean[:, None]).any():
+            return _first_split(valid & clean[:, None], dirs, counts)
+        if fallback is None and valid.any():
+            fallback = _first_split(valid, dirs, counts)
     if fallback is not None:
         return fallback
-    raise SearchBudgetExhausted(f"no balanced line found in {budget} trials")
+    raise SearchBudgetExhausted(
+        f"no balanced line found in {10 * card * code.dimension} trials"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -298,27 +340,16 @@ def _generic_projection_line(
     roughly unchanged.  All candidates avoiding points on the axis are
     returned, ordered bisectors first.
     """
-    cands: list[LineThroughOrigin] = []
-    i, j = code.min_angle_pair
-    pairs = [(i, j)]
-    for a in range(code.card):
-        for b in range(a + 1, code.card):
-            if (a, b) != (i, j):
-                pairs.append((a, b))
-    for a, b in pairs[: trials // 2]:
-        mid = code.points[a] + code.points[b]
-        nrm = np.linalg.norm(mid)
-        if nrm > EPS_UNIT:
-            cands.append(LineThroughOrigin(mid / nrm))
-    for _ in range(trials - len(cands)):
-        v = rng.standard_normal(code.dimension)
-        cands.append(LineThroughOrigin(v / np.linalg.norm(v)))
-    ok = []
-    for line in cands:
-        resid = 1.0 - (code.points @ line.direction) ** 2
-        if np.min(resid) > EPS_UNIT:
-            ok.append(line)
-    return ok
+    first = code.min_angle_pair
+    rest = (p for p in itertools.combinations(range(code.card), 2) if p != first)
+    pairs = itertools.islice(itertools.chain([first], rest), trials // 2)
+    mids = [code.points[a] + code.points[b] for a, b in pairs]
+    cands = [LineThroughOrigin(m / np.linalg.norm(m))
+             for m in mids if np.linalg.norm(m) > EPS_UNIT]
+    draws = rng.standard_normal((trials - len(cands), code.dimension))
+    cands += [LineThroughOrigin(v / np.linalg.norm(v)) for v in draws]
+    return [line for line in cands
+            if np.min(1.0 - (code.points @ line.direction) ** 2) > EPS_UNIT]
 
 
 def _balanced_candidates(
@@ -332,46 +363,23 @@ def _balanced_candidates(
     """
     if code.card < 2:
         raise DegenerateCode("balanced split needs at least two points")
-    n, card = code.dimension, code.card
-    budget = 10 * card * n
-    rng = np.random.default_rng(seed)
-
-    def candidates():
-        for p in code.points:
-            yield p
-        for i in range(card):
-            for j in range(i + 1, card):
-                mid = code.points[i] + code.points[j]
-                nrm = np.linalg.norm(mid)
-                if nrm > EPS_UNIT:
-                    yield mid / nrm
-        while True:
-            v = rng.standard_normal(n)
-            yield v / np.linalg.norm(v)
-
+    card = code.card
     found: list[tuple[LineThroughOrigin, int, int]] = []
-    seen: set[frozenset] = set()
-    for trial, direction in enumerate(candidates()):
-        if trial >= budget or len(found) >= limit:
+    seen: set[bytes] = set()
+    for dirs, dots, clean in _scored_candidates(code, seed):
+        for r in np.flatnonzero(clean):
+            if len(found) >= limit:
+                break
+            side = dots[r] >= 0.0
+            for sign, mask in ((+1, side), (-1, ~side)):
+                count = int(np.count_nonzero(mask))
+                if card / 2 <= count < card and mask.tobytes() not in seen:
+                    seen.add(mask.tobytes())
+                    found.append((LineThroughOrigin(dirs[r]), sign, count))
+        if len(found) >= limit:
             break
-        line = LineThroughOrigin(direction)
-        dots = code.points @ line.direction
-        if np.min(np.abs(dots)) <= EPS_UNIT:
-            continue
-        plus = int(np.count_nonzero(dots >= 0.0))
-        for sign, count in ((+1, plus), (-1, card - plus)):
-            if not (card / 2 <= count < card):
-                continue
-            mask = frozenset(
-                np.flatnonzero(dots >= 0.0 if sign > 0 else dots < 0.0)
-            )
-            if mask in seen:
-                continue
-            seen.add(mask)
-            found.append((line, sign, count))
     if not found:
-        line, sign, count = find_balanced_line(code, seed)
-        found.append((line, sign, count))
+        found.append(find_balanced_line(code, seed))
     found.sort(key=lambda t: t[2])
     return found
 
@@ -492,8 +500,6 @@ def composite_spoil_down(
     code must have phi > phi_c, k >= a_c, and enough room for the final
     lambda solve to land in [0, 1] (checked at runtime).
     """
-    from .bounds import kl_bound  # local import: avoids a module cycle
-
     n = code.dimension
     a_c = subcode_steps if subcode_steps is not None else int(np.floor(kl_bound(phi_c)))
     if code.min_angle <= phi_c:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sphcodes import atlas as atlas_mod
-from sphcodes import binary, bounds
+from sphcodes import binary, bounds, spherical
 
 
 def small_build(budget=300, seed=0, phi_c=0.4):
@@ -49,6 +49,20 @@ def test_envelope_invariants():
         assert r >= 0.0
     # zero at the right angle
     assert atlas.alpha(math.pi / 2) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_point_just_past_right_angle_is_not_an_anchor():
+    # the window admits cos phi in [-1e-12, 0), where phi exceeds pi/2
+    c = -1e-13
+    code = spherical.SphericalCode([[1.0, 0.0], [c, math.sqrt(1.0 - c * c)]])
+    cutoff = bounds.CutoffRegion(0.4)
+    atlas = atlas_mod.atlas_build([code], cutoff, 1)
+    seed_point = atlas.observed[0]
+    assert seed_point.cos_phi == pytest.approx(c, abs=1e-16)
+    assert seed_point.phi > math.pi / 2
+    assert cutoff.contains(seed_point.cos_phi, seed_point.rate)
+    assert seed_point not in atlas.dominated_anchors
+    assert np.all(np.diff(atlas.envelope) <= 1e-12)
 
 
 def test_observed_points_recorded():

@@ -157,6 +157,17 @@ def test_region_boundary_lines_through_anchor():
     assert regs.line2(cut.cos_phi_c) == pytest.approx(cut.a_c, abs=1e-12)
 
 
+@pytest.mark.parametrize("anchor_x", [0.3, None])
+def test_region_lines_on_an_array_match_scalar_calls(anchor_x):
+    cut = bounds.CutoffRegion(0.5)
+    # None: the anchor sits on the cutoff edge, where line2 is vertical
+    regs = bounds.controlling_regions(
+        (cut.cos_phi_c if anchor_x is None else anchor_x, 0.7), cut)
+    xs = np.linspace(0.0, cut.cos_phi_c, 33)
+    for line in (regs.line1, regs.line2):
+        assert np.array_equal(line(xs), [line(float(x)) for x in xs])
+
+
 def test_lower_boundary_clipped():
     cut = bounds.CutoffRegion(0.5)
     regs = bounds.controlling_regions((0.4, 0.6), cut)

@@ -82,6 +82,19 @@ def test_spoil_op2_reports_xi(capsys, tmp_path):
     assert "xi=" in err and "u=" in err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("flags", [[], ["--normalize"]])
+def test_spoil_rejects_non_finite_coordinates(capsys, tmp_path, bad, flags):
+    sph_file = tmp_path / "sph.txt"
+    sph_file.write_text(f"dim 3\n1 0 0\n0 1 0\n0 0 {bad}\n")
+    rc, out, err = run(capsys, "spoil", str(sph_file), "--op", "up", *flags,
+                       "--out", str(tmp_path / "o.txt"))
+    assert rc == 1
+    assert err.count("error:") == 1
+    assert "nan" not in out and "cos_phi" not in err
+    assert not (tmp_path / "o.txt").exists()
+
+
 def test_theta_output(capsys):
     rc, out, _ = run(capsys, "theta", "--lattice", "Z", "--dim", "2",
                      "--m-max", "5")
