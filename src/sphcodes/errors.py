@@ -45,3 +45,7 @@ class InputFormatError(SphCodesError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class CertificateError(SphCodesError):
+    """A computed code misses the minimum angle its construction guarantees."""

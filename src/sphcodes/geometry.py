@@ -15,6 +15,9 @@ from .errors import DegenerateCode, DimensionMismatch, PointOnAxis
 
 # Norm validation tolerance for unit vectors.
 EPS_UNIT = 1e-12
+# Norm tolerance for the points of a code: code files and computed codes
+# carry more rounding than a single direction, so this is coarser.
+EPS_NORM = 1e-9
 # Tolerance for angle comparisons (coarser: arccos loses precision near 0 and pi).
 EPS_ANGLE = 1e-9
 
@@ -160,8 +163,8 @@ def project_points(points, line: LineThroughOrigin) -> tuple[np.ndarray, np.ndar
     d = line.direction
     if x.ndim != 2 or x.shape[1] != d.size:
         raise DimensionMismatch(f"points of shape {x.shape} != line dimension {d.size}")
-    if np.any(np.abs(np.sqrt(np.vecdot(x, x)) - 1.0) > EPS_UNIT):
-        raise ValueError(f"point norms are not within {EPS_UNIT} of 1")
+    if np.any(np.abs(np.sqrt(np.vecdot(x, x)) - 1.0) > EPS_NORM):
+        raise ValueError(f"point norms are not within {EPS_NORM} of 1")
     comps = x @ d
     resid = x - comps[:, None] * d
     nrms = np.sqrt(np.vecdot(resid, resid))

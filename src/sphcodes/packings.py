@@ -3,13 +3,15 @@
 Lattice points are integer combinations of the basis rows.  Counting is
 done by exact enumeration under a quadratic-form bound (triangular
 decomposition of the Gram matrix with per-coordinate interval bounds),
-subject to a configurable point budget.
+walked in blocks of points and subject to a configurable node budget.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -18,12 +20,14 @@ from scipy import integrate
 from scipy.special import gammaln
 
 from .bounds import circle_max_points, kl_bound, rankin_curve
-from .errors import BudgetExceeded, InputFormatError
+from .errors import BudgetExceeded, CertificateError, InputFormatError
 from .spherical import SphericalCode
 
 NORM_BUCKET_DECIMALS = 9   # norms bucketed to 1e-9
 SHELL_TOL = 1e-9
 DEFAULT_POINT_BUDGET = 10_000_000
+# Enumeration blocks hold at most this many integer coordinates.
+BLOCK_COORDS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -36,6 +40,8 @@ class Lattice:
         b = np.asarray(self.basis, dtype=float)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError("basis must be a square matrix of row vectors")
+        if not np.all(np.isfinite(b)):
+            raise ValueError("basis must have finite entries")
         if abs(np.linalg.det(b)) <= 1e-12:
             raise ValueError("basis is singular")
         object.__setattr__(self, "basis", b)
@@ -60,52 +66,78 @@ class Lattice:
     @cached_property
     def minimal_norm(self) -> float:
         """Squared length of a shortest nonzero lattice vector."""
-        bound = float(np.min(np.diag(self.gram)))
-        best = bound
-        for z, q in enumerate_quadratic(self.gram, np.zeros(self.dimension),
-                                        bound + 1e-9):
-            if q > 1e-12:
-                best = min(best, q)
+        best = float(np.min(np.diag(self.gram)))
+        for _z, q in enumerate_quadratic(self.gram, np.zeros(self.dimension),
+                                         best + 1e-9):
+            best = float(np.min(q, initial=best, where=q > 1e-12))
         return best
 
 
 def enumerate_quadratic(gram: np.ndarray, center: np.ndarray, bound: float,
                         budget: int = DEFAULT_POINT_BUDGET):
-    """Yield (z, value) for integer z with (z+center)' G (z+center) <= bound.
+    """Yield blocks (z, values) of the integer z with (z+c)' G (z+c) <= bound.
 
-    Uses the upper-triangular factor of the Gram matrix and walks the
-    coordinates from the last one down, pruning by the remaining budget of
-    squared length.  Raises BudgetExceeded when more than ``budget`` nodes
-    are visited.
+    ``z`` is an int64 (rows, n) array, ``values`` the form of each row.
+    With G = R'R (R upper triangular) the coordinates are fixed from the
+    last one down, each within the interval that the remaining squared
+    length allows (Fincke-Pohst).  One array pass fixes one coordinate for
+    a block of prefixes and the blocks go depth-first on a stack, so rows
+    come in the order of the point-by-point walk (last coordinate
+    outermost, each ascending), at most BLOCK_COORDS coordinates a block.
+    Every integer tried for a coordinate is a node, pruned or not; more
+    than ``budget`` nodes raise BudgetExceeded before they are built.
     """
+    gram = np.asarray(gram, dtype=float)
+    c = np.asarray(center, dtype=float)
+    if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(c))
+            and math.isfinite(bound)):
+        raise ValueError("enumeration needs a finite Gram matrix, center and bound")
     n = gram.shape[0]
     R = np.linalg.cholesky(gram).T  # upper triangular, G = R'R
-    c = np.asarray(center, dtype=float)
-    z = np.zeros(n, dtype=int)
-    visited = 0
+    rows = max(1, BLOCK_COORDS // n)
+    visited = 0.0  # a float: interval widths can overflow int64
 
-    def rec(i: int, rem: float, acc: float):
+    def frame(i, z, rem, acc):
+        """The prefixes z (coordinates > i fixed) with their intervals for i."""
         nonlocal visited
-        s = 0.0
+        s = np.zeros(len(z))
         for j in range(i + 1, n):
-            s += R[i, j] * (z[j] + c[j])
-        half = math.sqrt(max(rem, 0.0))
-        lo = math.ceil((-half - s) / R[i, i] - c[i] - 1e-12)
-        hi = math.floor((half - s) / R[i, i] - c[i] + 1e-12)
-        for zi in range(lo, hi + 1):
-            visited += 1
-            if visited > budget:
-                raise BudgetExceeded(f"enumeration exceeded {budget} points")
-            z[i] = zi
-            term = (R[i, i] * (zi + c[i]) + s) ** 2
-            if term > rem + 1e-9:
-                continue
-            if i == 0:
-                yield z.copy(), acc + term
-            else:
-                yield from rec(i - 1, rem - term, acc + term)
+            s = s + R[i, j] * (z[:, j] + c[j])
+        half = np.sqrt(np.maximum(rem, 0.0))
+        lo = np.ceil((-half - s) / R[i, i] - c[i] - 1e-12)
+        hi = np.floor((half - s) / R[i, i] - c[i] + 1e-12)
+        width = np.maximum(hi - lo + 1.0, 0.0)
+        visited += float(width.sum())
+        if visited > budget:
+            raise BudgetExceeded(f"enumeration exceeded {budget} points")
+        width = width.astype(np.int64)
+        ends = np.cumsum(width)
+        # node k of the frame is in prefix p = searchsorted(ends, k, "right")
+        # and sets coordinate i to k + offset[p]; the last item is the next k
+        return [i, z, rem, acc, s, lo.astype(np.int64) + width - ends, ends, 0]
 
-    yield from rec(n - 1, bound, 0.0)
+    stack = [frame(n - 1, np.zeros((1, n), dtype=np.int64),
+                   np.array([float(bound)]), np.zeros(1))]
+    while stack:
+        top = stack[-1]
+        i, z, rem, acc, s, offset, ends, done = top
+        top[-1] = stop = min(int(ends[-1]), done + rows)
+        if stop == ends[-1]:
+            stack.pop()
+        k = np.arange(done, stop)
+        p = np.searchsorted(ends, k, side="right")
+        zi = k + offset[p]
+        term = (R[i, i] * (zi + c[i]) + s[p]) ** 2
+        keep = term <= rem[p] + 1e-9
+        p, zi, term = p[keep], zi[keep], term[keep]
+        if p.size == 0:
+            continue
+        z_next = z[p]
+        z_next[:, i] = zi
+        if i == 0:
+            yield z_next, acc[p] + term
+        else:
+            stack.append(frame(i - 1, z_next, rem[p] - term, acc[p] + term))
 
 
 @dataclass(frozen=True)
@@ -125,22 +157,34 @@ class ThetaCoefficients:
         return [norm for norm, _ in self.entries]
 
 
-def _bucket(value: float) -> float:
-    return round(value, NORM_BUCKET_DECIMALS)
+def _theta(lattice: Lattice, translates, m_max: float,
+           budget: int) -> ThetaCoefficients:
+    """Counts of the vectors t_j - t_k + Lattice over ell, bucketed by norm.
+
+    Each (j, k) pair has its own node budget.  The counts are exact: ints
+    for one translate (a lattice), Fractions over ell otherwise.
+    """
+    if not m_max >= 0:
+        raise ValueError("m_max must be >= 0")
+    hits = Counter()  # per distinct value, bucketed once at the end
+    for tj, tk in itertools.product(translates, repeat=2):
+        for _z, q in enumerate_quadratic(lattice.gram, lattice.coords_of(tj - tk),
+                                         m_max + 1e-9, budget):
+            values, counts = np.unique(q, return_counts=True)
+            hits.update(dict(zip(values.tolist(), counts.tolist())))
+    counts = Counter()
+    for value, hit in hits.items():
+        counts[round(value, NORM_BUCKET_DECIMALS)] += hit
+    ell = len(translates)
+    return ThetaCoefficients(tuple(
+        (key, cnt if ell == 1 else Fraction(cnt, ell))
+        for key, cnt in sorted(counts.items())))
 
 
 def theta_lattice(lattice: Lattice, m_max: float,
                   budget: int = DEFAULT_POINT_BUDGET) -> ThetaCoefficients:
     """Counts N(m) of lattice points with squared norm m <= m_max."""
-    if m_max < 0:
-        raise ValueError("m_max must be >= 0")
-    counts: dict[float, int] = {}
-    zero = np.zeros(lattice.dimension)
-    for _z, q in enumerate_quadratic(lattice.gram, zero, m_max + 1e-9, budget):
-        key = _bucket(q)
-        counts[key] = counts.get(key, 0) + 1
-    entries = tuple(sorted(counts.items()))
-    return ThetaCoefficients(entries)
+    return _theta(lattice, [np.zeros(lattice.dimension)], m_max, budget)
 
 
 @dataclass(frozen=True)
@@ -153,40 +197,30 @@ class PeriodicPacking:
 
     def __post_init__(self):
         n = self.lattice.dimension
-        ts = [np.zeros(n)] if len(self.translates) == 0 else [
-            np.asarray(t, dtype=float) for t in self.translates
-        ]
-        for t in ts:
-            if t.shape != (n,):
-                raise ValueError("translate dimension mismatch")
-        if self.radius <= 0:
+        ts = [np.asarray(t, dtype=float) for t in self.translates] or [np.zeros(n)]
+        if any(t.shape != (n,) for t in ts):
+            raise ValueError("translate dimension mismatch")
+        if not self.radius > 0:
             raise ValueError("radius must be positive")
         object.__setattr__(self, "translates", tuple(map(tuple, ts)))
-        # distinct translate classes
-        for j in range(len(ts)):
-            for k in range(j + 1, len(ts)):
-                if coset_min_norm(self.lattice, ts[j] - ts[k]) <= 1e-18:
-                    raise ValueError(f"translates {j} and {k} differ by a "
-                                     "lattice vector")
-        # non-overlap
         min_d = self.min_center_distance()
         if min_d < 2 * self.radius - 1e-9:
-            raise ValueError(
-                f"spheres overlap: min center distance {min_d:.6g} < 2r"
-            )
+            raise ValueError(f"spheres overlap: min center distance {min_d:.6g} < 2r")
 
     @property
     def translate_vectors(self) -> list[np.ndarray]:
         return [np.asarray(t, dtype=float) for t in self.translates]
 
     def min_center_distance(self) -> float:
-        best = math.sqrt(self.lattice.minimal_norm)
+        """Raises ValueError when two translates differ by a lattice vector."""
+        best = self.lattice.minimal_norm
         ts = self.translate_vectors
-        for j in range(len(ts)):
-            for k in range(j + 1, len(ts)):
-                best = min(best,
-                           math.sqrt(coset_min_norm(self.lattice, ts[j] - ts[k])))
-        return best
+        for j, k in itertools.combinations(range(len(ts)), 2):
+            norm = coset_min_norm(self.lattice, ts[j] - ts[k])
+            if norm <= 1e-18:
+                raise ValueError(f"translates {j} and {k} differ by a lattice vector")
+            best = min(best, norm)
+        return math.sqrt(best)
 
 
 def coset_min_norm(lattice: Lattice, t) -> float:
@@ -194,31 +228,16 @@ def coset_min_norm(lattice: Lattice, t) -> float:
     t = np.asarray(t, dtype=float)
     c = lattice.coords_of(t)
     babai = c - np.round(c)
-    bound = float(babai @ lattice.gram @ babai) + 1e-9
-    best = bound
-    for _z, q in enumerate_quadratic(lattice.gram, c, bound):
-        best = min(best, q)
+    best = float(babai @ lattice.gram @ babai) + 1e-9
+    for _z, q in enumerate_quadratic(lattice.gram, c, best):
+        best = min(best, float(np.min(q)))
     return max(best, 0.0)
 
 
 def theta_periodic(packing: PeriodicPacking, m_max: float,
                    budget: int = DEFAULT_POINT_BUDGET) -> ThetaCoefficients:
-    """Averaged counts over all translate pairs; exact rationals over ell."""
-    if m_max < 0:
-        raise ValueError("m_max must be >= 0")
-    lat = packing.lattice
-    ts = packing.translate_vectors
-    ell = len(ts)
-    counts: dict[float, Fraction] = {}
-    for j in range(ell):
-        for k in range(ell):
-            shift = lat.coords_of(ts[j] - ts[k])
-            for _z, q in enumerate_quadratic(lat.gram, shift, m_max + 1e-9,
-                                             budget):
-                key = _bucket(q)
-                counts[key] = counts.get(key, Fraction(0)) + Fraction(1, ell)
-    entries = tuple(sorted(counts.items()))
-    return ThetaCoefficients(entries)
+    """Averaged counts over all translate pairs (ints for one translate)."""
+    return _theta(packing.lattice, packing.translate_vectors, m_max, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -228,16 +247,15 @@ def theta_periodic(packing: PeriodicPacking, m_max: float,
 def _centers_at_distance(packing: PeriodicPacking, x0: np.ndarray, u: float,
                          budget: int = DEFAULT_POINT_BUDGET) -> np.ndarray:
     lat = packing.lattice
-    rows = []
+    blocks = [np.zeros((0, lat.dimension))]
     for t in packing.translate_vectors:
         shift = lat.coords_of(t - x0)
         for z, _q in enumerate_quadratic(lat.gram, shift, (u + SHELL_TOL) ** 2,
                                          budget):
-            center = (z + shift) @ lat.basis
-            d = float(np.linalg.norm(center))
-            if abs(d - u) <= SHELL_TOL:
-                rows.append(center)
-    return np.asarray(rows) if rows else np.zeros((0, lat.dimension))
+            centers = (z + shift) @ lat.basis
+            d = np.sqrt(np.vecdot(centers, centers))
+            blocks.append(centers[np.abs(d - u) <= SHELL_TOL])
+    return np.concatenate(blocks)
 
 
 def shell_code(packing: PeriodicPacking, x0, u: float,
@@ -259,9 +277,8 @@ def shell_code(packing: PeriodicPacking, x0, u: float,
     guaranteed = 2.0 * math.asin(min(1.0, packing.radius / u))
     recomputed = code.min_angle
     if recomputed < guaranteed - 1e-9:
-        raise AssertionError(
-            f"shell angle {recomputed:.12g} below guarantee {guaranteed:.12g}"
-        )
+        raise CertificateError(f"shell angle {recomputed:.12g} below "
+                               f"guarantee {guaranteed:.12g}")
     return code, {"guaranteed_min_angle": guaranteed,
                   "recomputed_min_angle": recomputed,
                   "card": code.card}
@@ -273,10 +290,9 @@ def kissing_configuration(packing: PeriodicPacking, center_index: int = 0,
     ts = packing.translate_vectors
     if not (0 <= center_index < len(ts)):
         raise ValueError("center index out of range")
-    x0 = ts[center_index]
-    code, cert = shell_code(packing, x0, 2.0 * packing.radius, budget)
+    code, _cert = shell_code(packing, ts[center_index], 2.0 * packing.radius, budget)
     if code.min_angle < math.pi / 3 - 1e-9:
-        raise AssertionError("kissing configuration below the pi/3 guarantee")
+        raise CertificateError("kissing configuration below the pi/3 guarantee")
     return code
 
 
@@ -386,20 +402,13 @@ def checkerboard_lattice(n: int) -> Lattice:
     """D_n: integer vectors with even coordinate sum."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    basis = np.zeros((n, n))
-    for i in range(n - 1):
-        basis[i, i] = 1.0
-        basis[i, i + 1] = -1.0
+    basis = np.eye(n) - np.eye(n, k=1)
     basis[n - 1, n - 2] = 1.0
-    basis[n - 1, n - 1] = 1.0
     return Lattice(basis)
 
 def e8_lattice() -> Lattice:
-    basis = np.zeros((8, 8))
+    basis = np.eye(8) - np.eye(8, k=-1)
     basis[0, 0] = 2.0
-    for i in range(1, 7):
-        basis[i, i - 1] = -1.0
-        basis[i, i] = 1.0
     basis[7, :] = 0.5
     return Lattice(basis)
 
@@ -447,46 +456,50 @@ def dump_packing(packing: PeriodicPacking) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _header_value(parts: list[str], kind, ok, lineno: int):
+    """The value of a '<keyword> <value>' line, parsed as ``kind``."""
+    try:
+        (value,) = parts[1:]
+        value = kind(value)
+    except ValueError:
+        value = None
+    if value is None or not ok(value):
+        raise InputFormatError(f"bad '{parts[0]}' line", lineno)
+    return value
+
+
 def load_packing(text: str, default_radius: float | None = None) -> PeriodicPacking:
     """Parse "dim n", n basis rows, optional translates and radius sections."""
     dim = None
-    basis_rows: list[list[float]] = []
-    translates: list[list[float]] = []
+    rows: list[list[float]] = []
     radius = default_radius
     expect_translates = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if dim is None:
-            if parts[0] != "dim" or len(parts) != 2:
+            if parts[0] != "dim":
                 raise InputFormatError("expected 'dim <n>' header", lineno)
-            dim = int(parts[1])
-            continue
-        if parts[0] == "translates":
-            expect_translates = int(parts[1])
-            continue
-        if parts[0] == "radius":
-            radius = float(parts[1])
-            continue
-        try:
-            row = [float(t) for t in parts]
-        except ValueError:
-            raise InputFormatError("malformed number", lineno) from None
-        if len(row) != dim:
-            raise InputFormatError(f"expected {dim} entries", lineno)
-        if len(basis_rows) < dim:
-            basis_rows.append(row)
-        elif len(translates) < expect_translates:
-            translates.append(row)
+            dim = _header_value(parts, int, lambda v: v >= 1, lineno)
+        elif parts[0] == "translates":
+            expect_translates = _header_value(parts, int, lambda v: v >= 0, lineno)
+        elif parts[0] == "radius":
+            radius = _header_value(parts, float, lambda v: 0 < v < math.inf, lineno)
         else:
-            raise InputFormatError("unexpected extra row", lineno)
-    if dim is None or len(basis_rows) != dim:
+            try:
+                rows.append([float(t) for t in parts])
+            except ValueError:
+                raise InputFormatError("malformed number", lineno) from None
+            if len(rows[-1]) != dim:
+                raise InputFormatError(f"expected {dim} entries", lineno)
+            if len(rows) > dim + expect_translates:
+                raise InputFormatError("unexpected extra row", lineno)
+    if dim is None or len(rows) < dim:
         raise InputFormatError("incomplete basis")
-    if len(translates) != expect_translates:
+    if len(rows) != dim + expect_translates:
         raise InputFormatError("missing translate rows")
-    lat = Lattice(np.asarray(basis_rows))
+    lat = Lattice(np.asarray(rows[:dim]))
     if radius is None:
-        return touching_packing(lat, translates)
-    return PeriodicPacking(lat, tuple(translates), radius)
+        return touching_packing(lat, rows[dim:])
+    return PeriodicPacking(lat, tuple(rows[dim:]), radius)

@@ -25,7 +25,7 @@ from .errors import (
     PointOnAxis,
     SearchBudgetExhausted,
 )
-from .geometry import EPS_ANGLE, EPS_UNIT, Hyperplane, LineThroughOrigin
+from .geometry import EPS_ANGLE, EPS_NORM, EPS_UNIT, Hyperplane, LineThroughOrigin
 from .kl import kl_bound
 
 # Gram and candidate-score blocks hold at most this many float64 entries.
@@ -61,14 +61,11 @@ class SphericalCode:
             if np.any(norms <= EPS_UNIT):
                 raise ValueError("cannot normalize a zero point")
             pts = pts / norms[:, None]
-        elif np.any(np.abs(norms - 1.0) > 1e-9):
+        elif np.any(np.abs(norms - 1.0) > EPS_NORM):
             worst = float(np.max(np.abs(norms - 1.0)))
             raise ValueError(f"points are not unit vectors (max norm error {worst:.3e})")
-        if check_distinct and pts.shape[0] >= 2:
-            g = geometry.pairwise_cos(pts)
-            np.fill_diagonal(g, -1.0)
-            if np.any(np.arccos(np.clip(g, -1, 1)) < EPS_ANGLE):
-                raise ValueError("points are not pairwise distinct beyond EPS_ANGLE")
+        if check_distinct and merge_close_points(pts).shape[0] < pts.shape[0]:
+            raise ValueError("points are not pairwise distinct beyond EPS_ANGLE")
         self._points = pts
         self._points.setflags(write=False)
 
@@ -551,9 +548,9 @@ def load_spherical_code(text: str, *, normalize: bool = False) -> SphericalCode:
                 f"expected {dim} coordinates, got {len(coords)}", lineno
             )
         nrm = float(np.linalg.norm(coords))
-        if not normalize and abs(nrm - 1.0) > 1e-9:
+        if not normalize and abs(nrm - 1.0) > EPS_NORM:
             raise InputFormatError(
-                f"point norm {nrm!r} not within 1e-9 of 1 (use normalize)", lineno
+                f"point norm {nrm!r} not within {EPS_NORM} of 1 (use normalize)", lineno
             )
         rows.append(coords)
     if dim is None or not rows:

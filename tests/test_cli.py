@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -103,6 +104,41 @@ def test_theta_output(capsys):
     assert lines[0] == "m,count"
     counts = {float(l.split(",")[0]): l.split(",")[1] for l in lines[1:]}
     assert counts[1.0] == "4" and counts[5.0] == "8"
+
+
+PACKING_FILES = {
+    "nan-basis": "dim 2\n1 0\nnan 1\n",
+    "bare-translates": "dim 2\n1 0\n0 1\ntranslates\n",
+    "bad-radius": "dim 2\n1 0\n0 1\nradius r\n",
+    "fractional-dim": "dim 2.5\n1 0\n0 1\n",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta", "--lattice", "E8", "--m-max", "nan"],
+    ["theta", "--lattice", "E8", "--m-max", "inf"],
+    ["theta", "--lattice", "E8", "--m-max", "1e300"],
+    *(["theta", "--lattice-file", name] for name in sorted(PACKING_FILES)),
+    ["shell", "--lattice", "Z", "--dim", "2", "--x0", "nan,0", "--u", "1"],
+    ["shell", "--lattice", "Z", "--dim", "2", "--u", "inf"],
+], ids=lambda argv: " ".join(argv[1:]))
+def test_packing_queries_reject_bad_input(capsys, tmp_path, argv):
+    if argv[1] == "--lattice-file":
+        path = tmp_path / "packing.txt"
+        path.write_text(PACKING_FILES[argv[2]])
+        argv = [*argv[:2], str(path)]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_theta_over_budget_fails_fast(capsys):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "theta", "--lattice", "E8", "--m-max", "1e9")
+    assert time.perf_counter() - start < 10
+    assert rc == 1 and out == ""
+    assert err.startswith("error: enumeration exceeded ")
 
 
 def test_kissing_output(capsys):

@@ -1,4 +1,4 @@
-"""The array kernels of geometry, spherical and atlas against loop references.
+"""The array kernels of geometry, spherical, atlas and packings against loop references.
 
 Each ``ref_*`` function is the one-point-at-a-time implementation that the
 array version replaced, kept here verbatim in behaviour.  Where the
@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from sphcodes import atlas as atlas_mod
-from sphcodes import binary, bounds, geometry, spherical
-from sphcodes.errors import DegenerateCode, SearchBudgetExhausted
+from sphcodes import binary, bounds, geometry, packings, spherical
+from sphcodes.errors import BudgetExceeded, DegenerateCode, SearchBudgetExhausted
 from sphcodes.geometry import EPS_ANGLE, EPS_UNIT, LineThroughOrigin
 
 
@@ -126,6 +126,40 @@ def ref_envelope(atlas):
         envelope[j] = max(envelope[j], envelope[j + 1])
         envelope[j] = min(envelope[j], bounds.kl_bound(float(atlas.phi_grid[j])))
     return envelope
+
+
+def ref_enumerate_quadratic(gram, center, bound, budget=10_000_000, nodes=None):
+    """The recursive point-by-point Fincke-Pohst walk; counts nodes into ``nodes``."""
+    n = gram.shape[0]
+    R = np.linalg.cholesky(gram).T
+    c = np.asarray(center, dtype=float)
+    z = np.zeros(n, dtype=int)
+    visited = 0
+
+    def rec(i, rem, acc):
+        nonlocal visited
+        s = 0.0
+        for j in range(i + 1, n):
+            s += R[i, j] * (z[j] + c[j])
+        half = math.sqrt(max(rem, 0.0))
+        lo = math.ceil((-half - s) / R[i, i] - c[i] - 1e-12)
+        hi = math.floor((half - s) / R[i, i] - c[i] + 1e-12)
+        for zi in range(lo, hi + 1):
+            visited += 1
+            if visited > budget:
+                raise BudgetExceeded(f"enumeration exceeded {budget} points")
+            z[i] = zi
+            term = (R[i, i] * (zi + c[i]) + s) ** 2
+            if term > rem + 1e-9:
+                continue
+            if i == 0:
+                yield z.copy(), acc + term
+            else:
+                yield from rec(i - 1, rem - term, acc + term)
+
+    yield from rec(n - 1, bound, 0.0)
+    if nodes is not None:
+        nodes.append(visited)
 
 
 # -- codes --------------------------------------------------------------------
@@ -259,3 +293,32 @@ def test_envelope_matches_grid_anchor_loop(seed):
     atlas = atlas_mod.atlas_build(None, bounds.CutoffRegion(0.4), 300, seed=seed)
     assert atlas.dominated_anchors
     assert np.max(np.abs(atlas.envelope - ref_envelope(atlas))) <= 1e-12
+
+
+ENUMERATIONS = {
+    "E8": lambda: (packings.e8_lattice().gram, np.zeros(8), 8 + 1e-9),
+    "D4": lambda: (packings.checkerboard_lattice(4).gram, np.zeros(4), 8 + 1e-9),
+    "A2": lambda: (packings.hexagonal_lattice().gram, np.zeros(2), 7 + 1e-9),
+    "Z3-centered": lambda: (np.eye(3), np.random.default_rng(4).standard_normal(3), 9.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATIONS))
+def test_enumeration_blocks_match_recursive_walk(name):
+    gram, center, bound = ENUMERATIONS[name]()
+    assert np.any(center) == (name == "Z3-centered")
+    ref_z, ref_q = zip(*ref_enumerate_quadratic(gram, center, bound))
+    blocks = list(packings.enumerate_quadratic(gram, center, bound))
+    assert all(z.shape[0] * z.shape[1] <= packings.BLOCK_COORDS for z, _q in blocks)
+    assert np.array_equal(np.concatenate([z for z, _q in blocks]), np.array(ref_z))
+    assert np.array_equal(np.concatenate([q for _z, q in blocks]), np.array(ref_q))
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATIONS))
+def test_enumeration_budget_is_the_node_count(name):
+    gram, center, bound = ENUMERATIONS[name]()
+    nodes = []
+    list(ref_enumerate_quadratic(gram, center, bound, nodes=nodes))
+    list(packings.enumerate_quadratic(gram, center, bound, budget=nodes[0]))
+    with pytest.raises(BudgetExceeded):
+        list(packings.enumerate_quadratic(gram, center, bound, budget=nodes[0] - 1))

@@ -1,12 +1,13 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sphcodes import packings
-from sphcodes.errors import BudgetExceeded, InputFormatError
+from sphcodes.errors import BudgetExceeded, CertificateError, InputFormatError
 
 
 def brute_force_counts(basis, m_max, box=6):
@@ -22,6 +23,11 @@ def brute_force_counts(basis, m_max, box=6):
 
 
 # -- lattices ------------------------------------------------------------------
+
+def test_lattice_rejects_non_finite_basis():
+    with pytest.raises(ValueError, match="finite"):
+        packings.Lattice(np.array([[1.0, 0.0], [math.nan, 1.0]]))
+
 
 def test_lattice_rejects_singular_basis():
     with pytest.raises(ValueError):
@@ -77,6 +83,56 @@ def test_theta_e8_240_minimal_vectors():
             count += 1
     assert count == 240
     assert theta.count(2) == 240
+
+
+def divisors(m):
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
+def test_theta_e8_is_240_sigma3():
+    theta = packings.theta_lattice(packings.e8_lattice(), 12.0)
+    assert theta.norms == [0, 2, 4, 6, 8, 10, 12]
+    for m in range(1, 7):
+        assert theta.count(2 * m) == 240 * sum(d ** 3 for d in divisors(m))
+
+
+def test_theta_z4_is_jacobi_r4():
+    theta = packings.theta_lattice(packings.integer_lattice(4), 9.0)
+    for m in range(1, 10):
+        assert theta.count(m) == 8 * sum(d for d in divisors(m) if d % 4)
+
+
+def test_theta_d4_is_24_sigma_of_odd_part():
+    theta = packings.theta_lattice(packings.checkerboard_lattice(4), 8.0)
+    assert theta.norms == [0, 2, 4, 6, 8]
+    for m in range(1, 5):
+        odd = m // (m & -m)
+        assert theta.count(2 * m) == 24 * sum(divisors(odd))
+
+
+def test_theta_e8_memory_stays_bounded():
+    e8 = packings.e8_lattice()
+    tracemalloc.start()
+    try:
+        packings.theta_lattice(e8, 12.0)
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+
+
+def test_enumeration_rejects_non_finite_input():
+    for gram, center, bound in [(np.eye(2), np.zeros(2), math.inf),
+                                (np.eye(2), np.zeros(2), math.nan),
+                                (np.eye(2), np.array([math.nan, 0.0]), 1.0),
+                                (np.array([[1.0, math.inf], [0.0, 1.0]]), np.zeros(2), 1.0)]:
+        with pytest.raises(ValueError, match="finite"):
+            list(packings.enumerate_quadratic(gram, center, bound))
+
+
+def test_enumeration_budget_counted_before_overflow():
+    with pytest.raises(BudgetExceeded):
+        list(packings.enumerate_quadratic(np.eye(2), np.zeros(2), 1e300))
 
 
 def test_enumeration_budget():
@@ -138,6 +194,17 @@ def test_shell_code_certificate():
     code, cert = packings.shell_code(packing, np.zeros(2), math.sqrt(2))
     assert cert["card"] == code.card == 4
     assert cert["recomputed_min_angle"] >= cert["guaranteed_min_angle"] - 1e-9
+
+
+def test_missed_guarantee_is_a_domain_error():
+    # a radius past the touching one breaks the angle guarantee; the
+    # constructor rejects it, so it is set behind the constructor's back
+    packing = packings.touching_packing(packings.integer_lattice(2))
+    object.__setattr__(packing, "radius", math.sqrt(5) / 2)
+    with pytest.raises(CertificateError):
+        packings.shell_code(packing, np.zeros(2), math.sqrt(5))
+    with pytest.raises(CertificateError):
+        packings.kissing_configuration(packing)
 
 
 def test_shell_code_empty_shell():
@@ -244,3 +311,18 @@ def test_load_packing_default_radius_touches():
 def test_load_packing_bad_header():
     with pytest.raises(InputFormatError):
         packings.load_packing("1 0\n0 1\n")
+
+
+@pytest.mark.parametrize("text", [
+    "dim 2.5\n1 0\n0 1\n",
+    "dim 0\n",
+    "dim 2\n1 0\n0 1\ntranslates\n",
+    "dim 2\n1 0\n0 1\ntranslates two\n",
+    "dim 2\n1 0\n0 1\nradius\n",
+    "dim 2\n1 0\n0 1\nradius x\n",
+    "dim 2\n1 0\n0 1\nradius nan\n",
+    "dim 2\n1 0\n0 1\nradius -1\n",
+])
+def test_load_packing_bad_header_line_has_line_number(text):
+    with pytest.raises(InputFormatError, match=r"^line \d+: "):
+        packings.load_packing(text)

@@ -49,6 +49,14 @@ def test_rejects_duplicate_points():
         spherical.SphericalCode([[1.0, 0.0], [1.0, 0.0]])
 
 
+def test_rejects_one_ulp_duplicate_points():
+    x = np.array([0.6, 0.8])
+    y = np.array([np.nextafter(0.6, 1.0), 0.8])
+    assert not np.array_equal(x, y) and x @ y >= 1.0
+    with pytest.raises(ValueError, match="distinct"):
+        spherical.SphericalCode([[0.0, 1.0], x, [1.0, 0.0], y])
+
+
 def test_rate_and_code_point():
     code = square_code()
     assert code.rate == pytest.approx(1.0)
@@ -348,3 +356,12 @@ def test_load_normalize_flag():
 def test_load_rejects_bad_header():
     with pytest.raises(InputFormatError):
         spherical.load_spherical_code("2\n1 0\n")
+
+
+def test_load_and_spoil2_admit_the_unit_norm_tolerance():
+    text = "dim 3\n1 0 0\n0 1 0\n0 0 1.0000000005\n"
+    code = spherical.load_spherical_code(text)
+    assert abs(np.linalg.norm(code.points[2]) - 1.0) > 1e-12
+    out, xi = spherical.spoil2(code, LineThroughOrigin(np.ones(3) / math.sqrt(3)))
+    assert out.card == 3
+    assert xi == pytest.approx(math.sqrt(2 / 3), abs=1e-9)
