@@ -34,6 +34,11 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
+def _default_budget(fallback: int) -> int:
+    raw = os.environ.get(BUDGET_ENV)
+    return int(raw) if raw else fallback
+
+
 def _load_packing_arg(args) -> packings.PeriodicPacking:
     if args.lattice_file:
         return packings.load_packing(Path(args.lattice_file).read_text())
@@ -104,7 +109,17 @@ def cmd_spoil(args) -> int:
     )
     if args.op == "1":
         out = spherical.spoil1_lambda(code, args.lam)
-    elif args.op in ("2", "3"):
+    elif args.op == "2":
+        if args.line:
+            direction = np.asarray([float(t) for t in args.line.split(",")])
+            line = spherical.LineThroughOrigin(
+                direction / np.linalg.norm(direction))
+        else:
+            line, _sign, _c = spherical.find_balanced_line(code, seed=args.seed)
+        out, xi = spherical.spoil2(code, line)
+        print(f"# xi={_fmt(xi)} u={_fmt(spherical.xi_to_u(xi))}",
+              file=sys.stderr)
+    elif args.op == "3":
         if args.line:
             direction = np.asarray([float(t) for t in args.line.split(",")])
             line = spherical.LineThroughOrigin(
@@ -112,12 +127,7 @@ def cmd_spoil(args) -> int:
             sign = -1 if args.sign == "-" else +1
         else:
             line, sign, _c = spherical.find_balanced_line(code, seed=args.seed)
-        if args.op == "2":
-            out, xi = spherical.spoil2(code, line)
-            print(f"# xi={_fmt(xi)} u={_fmt(spherical.xi_to_u(xi))}",
-                  file=sys.stderr)
-        else:
-            out = spherical.spoil3(code, line, sign)
+        out = spherical.spoil3(code, line, sign)
     elif args.op == "up":
         out = spherical.composite_spoil_up(code)
     elif args.op == "down":
@@ -132,7 +142,7 @@ def cmd_spoil(args) -> int:
 
 def cmd_atlas(args) -> int:
     cutoff = bounds.CutoffRegion(args.phi_c)
-    budget = args.budget or int(os.environ.get(BUDGET_ENV) or 10_000)
+    budget = args.budget if args.budget else _default_budget(10_000)
     built = atlas_mod.atlas_build(None, cutoff, budget, seed=args.seed)
     _write(args.out, atlas_mod.dump_atlas(built))
     return 0
@@ -140,7 +150,9 @@ def cmd_atlas(args) -> int:
 
 def cmd_theta(args) -> int:
     coeffs = packings.theta_periodic(_load_packing_arg(args), args.m_max)
-    rows = ["m,count"] + [f"{_fmt(m)},{cnt}" for m, cnt in coeffs.entries]
+    rows = ["m,count"]
+    for m, cnt in coeffs.entries:
+        rows.append(f"{_fmt(m)},{cnt}")
     _write(args.out, "\n".join(rows) + "\n")
     return 0
 

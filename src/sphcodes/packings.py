@@ -66,26 +66,28 @@ class Lattice:
     @cached_property
     def minimal_norm(self) -> float:
         """Squared length of a shortest nonzero lattice vector."""
-        best = float(np.min(np.diag(self.gram)))
-        for _z, q in enumerate_quadratic(self.gram, np.zeros(self.dimension),
-                                         best + 1e-9):
-            best = float(np.min(q, initial=best, where=q > 1e-12))
+        bound = float(np.min(np.diag(self.gram)))
+        best = bound
+        for z, q in enumerate_quadratic(self.gram, np.zeros(self.dimension),
+                                        bound + 1e-9):
+            if q > 1e-12:
+                best = min(best, q)
         return best
 
 
 def enumerate_quadratic(gram: np.ndarray, center: np.ndarray, bound: float,
                         budget: int = DEFAULT_POINT_BUDGET):
-    """Yield blocks (z, values) of the integer z with (z+c)' G (z+c) <= bound.
+    """Yield (z, value) for integer z with (z+center)' G (z+center) <= bound.
 
-    ``z`` is an int64 (rows, n) array, ``values`` the form of each row.
     With G = R'R (R upper triangular) the coordinates are fixed from the
     last one down, each within the interval that the remaining squared
     length allows (Fincke-Pohst).  One array pass fixes one coordinate for
-    a block of prefixes and the blocks go depth-first on a stack, so rows
-    come in the order of the point-by-point walk (last coordinate
-    outermost, each ascending), at most BLOCK_COORDS coordinates a block.
-    Every integer tried for a coordinate is a node, pruned or not; more
-    than ``budget`` nodes raise BudgetExceeded before they are built.
+    a block of prefixes and the blocks go depth-first on a stack, so the
+    points come in the order of the point-by-point walk (last coordinate
+    outermost, each ascending); a block holds at most BLOCK_COORDS
+    coordinates.  ``z`` is an int64 row of its block.  Every integer tried
+    for a coordinate is a node, pruned or not; more than ``budget`` nodes
+    raise BudgetExceeded before they are built.
     """
     gram = np.asarray(gram, dtype=float)
     c = np.asarray(center, dtype=float)
@@ -135,7 +137,7 @@ def enumerate_quadratic(gram: np.ndarray, center: np.ndarray, bound: float,
         z_next = z[p]
         z_next[:, i] = zi
         if i == 0:
-            yield z_next, acc[p] + term
+            yield from zip(z_next, (acc[p] + term).tolist())
         else:
             stack.append(frame(i - 1, z_next, rem[p] - term, acc[p] + term))
 
@@ -166,15 +168,13 @@ def _theta(lattice: Lattice, translates, m_max: float,
     """
     if not m_max >= 0:
         raise ValueError("m_max must be >= 0")
-    hits = Counter()  # per distinct value, bucketed once at the end
-    for tj, tk in itertools.product(translates, repeat=2):
-        for _z, q in enumerate_quadratic(lattice.gram, lattice.coords_of(tj - tk),
-                                         m_max + 1e-9, budget):
-            values, counts = np.unique(q, return_counts=True)
-            hits.update(dict(zip(values.tolist(), counts.tolist())))
     counts = Counter()
-    for value, hit in hits.items():
-        counts[round(value, NORM_BUCKET_DECIMALS)] += hit
+    for tj, tk in itertools.product(translates, repeat=2):
+        shift = lattice.coords_of(tj - tk)
+        hits = Counter(q for _z, q in enumerate_quadratic(lattice.gram, shift,
+                                                          m_max + 1e-9, budget))
+        for value, hit in hits.items():  # round each distinct value once
+            counts[round(value, NORM_BUCKET_DECIMALS)] += hit
     ell = len(translates)
     return ThetaCoefficients(tuple(
         (key, cnt if ell == 1 else Fraction(cnt, ell))
@@ -197,15 +197,21 @@ class PeriodicPacking:
 
     def __post_init__(self):
         n = self.lattice.dimension
-        ts = [np.asarray(t, dtype=float) for t in self.translates] or [np.zeros(n)]
-        if any(t.shape != (n,) for t in ts):
-            raise ValueError("translate dimension mismatch")
+        ts = [np.zeros(n)] if len(self.translates) == 0 else [
+            np.asarray(t, dtype=float) for t in self.translates
+        ]
+        for t in ts:
+            if t.shape != (n,):
+                raise ValueError("translate dimension mismatch")
         if not self.radius > 0:
             raise ValueError("radius must be positive")
         object.__setattr__(self, "translates", tuple(map(tuple, ts)))
+        # non-overlap; distinct translate classes are checked on the way
         min_d = self.min_center_distance()
         if min_d < 2 * self.radius - 1e-9:
-            raise ValueError(f"spheres overlap: min center distance {min_d:.6g} < 2r")
+            raise ValueError(
+                f"spheres overlap: min center distance {min_d:.6g} < 2r"
+            )
 
     @property
     def translate_vectors(self) -> list[np.ndarray]:
@@ -228,15 +234,22 @@ def coset_min_norm(lattice: Lattice, t) -> float:
     t = np.asarray(t, dtype=float)
     c = lattice.coords_of(t)
     babai = c - np.round(c)
-    best = float(babai @ lattice.gram @ babai) + 1e-9
-    for _z, q in enumerate_quadratic(lattice.gram, c, best):
-        best = min(best, float(np.min(q)))
+    bound = float(babai @ lattice.gram @ babai) + 1e-9
+    best = bound
+    for _z, q in enumerate_quadratic(lattice.gram, c, bound):
+        best = min(best, q)
     return max(best, 0.0)
 
 
 def theta_periodic(packing: PeriodicPacking, m_max: float,
                    budget: int = DEFAULT_POINT_BUDGET) -> ThetaCoefficients:
-    """Averaged counts over all translate pairs (ints for one translate)."""
+    """Averaged counts over all translate pairs; exact rationals over ell.
+
+    With one translate the packing is a shifted lattice, counted by
+    theta_lattice (ints).
+    """
+    if len(packing.translates) == 1:
+        return theta_lattice(packing.lattice, m_max, budget)
     return _theta(packing.lattice, packing.translate_vectors, m_max, budget)
 
 
@@ -247,15 +260,15 @@ def theta_periodic(packing: PeriodicPacking, m_max: float,
 def _centers_at_distance(packing: PeriodicPacking, x0: np.ndarray, u: float,
                          budget: int = DEFAULT_POINT_BUDGET) -> np.ndarray:
     lat = packing.lattice
-    blocks = [np.zeros((0, lat.dimension))]
+    found = []
     for t in packing.translate_vectors:
         shift = lat.coords_of(t - x0)
-        for z, _q in enumerate_quadratic(lat.gram, shift, (u + SHELL_TOL) ** 2,
-                                         budget):
-            centers = (z + shift) @ lat.basis
-            d = np.sqrt(np.vecdot(centers, centers))
-            blocks.append(centers[np.abs(d - u) <= SHELL_TOL])
-    return np.concatenate(blocks)
+        rows = [z for z, _q in enumerate_quadratic(lat.gram, shift,
+                                                   (u + SHELL_TOL) ** 2, budget)]
+        centers = (np.reshape(rows, (-1, lat.dimension)) + shift) @ lat.basis
+        d = np.sqrt(np.vecdot(centers, centers))
+        found.append(centers[np.abs(d - u) <= SHELL_TOL])
+    return np.concatenate(found)
 
 
 def shell_code(packing: PeriodicPacking, x0, u: float,
@@ -277,8 +290,9 @@ def shell_code(packing: PeriodicPacking, x0, u: float,
     guaranteed = 2.0 * math.asin(min(1.0, packing.radius / u))
     recomputed = code.min_angle
     if recomputed < guaranteed - 1e-9:
-        raise CertificateError(f"shell angle {recomputed:.12g} below "
-                               f"guarantee {guaranteed:.12g}")
+        raise CertificateError(
+            f"shell angle {recomputed:.12g} below guarantee {guaranteed:.12g}"
+        )
     return code, {"guaranteed_min_angle": guaranteed,
                   "recomputed_min_angle": recomputed,
                   "card": code.card}
@@ -290,7 +304,8 @@ def kissing_configuration(packing: PeriodicPacking, center_index: int = 0,
     ts = packing.translate_vectors
     if not (0 <= center_index < len(ts)):
         raise ValueError("center index out of range")
-    code, _cert = shell_code(packing, ts[center_index], 2.0 * packing.radius, budget)
+    x0 = ts[center_index]
+    code, cert = shell_code(packing, x0, 2.0 * packing.radius, budget)
     if code.min_angle < math.pi / 3 - 1e-9:
         raise CertificateError("kissing configuration below the pi/3 guarantee")
     return code
@@ -402,13 +417,20 @@ def checkerboard_lattice(n: int) -> Lattice:
     """D_n: integer vectors with even coordinate sum."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    basis = np.eye(n) - np.eye(n, k=1)
+    basis = np.zeros((n, n))
+    for i in range(n - 1):
+        basis[i, i] = 1.0
+        basis[i, i + 1] = -1.0
     basis[n - 1, n - 2] = 1.0
+    basis[n - 1, n - 1] = 1.0
     return Lattice(basis)
 
 def e8_lattice() -> Lattice:
-    basis = np.eye(8) - np.eye(8, k=-1)
+    basis = np.zeros((8, 8))
     basis[0, 0] = 2.0
+    for i in range(1, 7):
+        basis[i, i - 1] = -1.0
+        basis[i, i] = 1.0
     basis[7, :] = 0.5
     return Lattice(basis)
 

@@ -304,13 +304,13 @@ ENUMERATIONS = {
 
 
 @pytest.mark.parametrize("name", sorted(ENUMERATIONS))
-def test_enumeration_blocks_match_recursive_walk(name):
+def test_enumeration_matches_recursive_walk(name):
     gram, center, bound = ENUMERATIONS[name]()
     ref_z, ref_q = zip(*ref_enumerate_quadratic(gram, center, bound))
-    blocks = list(packings.enumerate_quadratic(gram, center, bound))
-    assert all(z.shape[0] * z.shape[1] <= packings.BLOCK_COORDS for z, _q in blocks)
-    assert np.array_equal(np.concatenate([z for z, _q in blocks]), np.array(ref_z))
-    assert np.array_equal(np.concatenate([q for _z, q in blocks]), np.array(ref_q))
+    z, q = zip(*packings.enumerate_quadratic(gram, center, bound))
+    assert all(row.base.size <= packings.BLOCK_COORDS for row in z)  # block size
+    assert np.array_equal(np.array(z), np.array(ref_z))
+    assert np.array_equal(np.array(q), np.array(ref_q))
 
 
 @pytest.mark.parametrize("name", sorted(ENUMERATIONS))
