@@ -39,6 +39,13 @@ def _default_budget(fallback: int) -> int:
     return int(raw) if raw else fallback
 
 
+def _line_arg(text: str) -> spherical.LineThroughOrigin:
+    direction = np.asarray([float(t) for t in text.split(",")])
+    if not (np.all(np.isfinite(direction)) and direction.any()):
+        raise ValueError(f"--line must be a finite nonzero direction, got {text!r}")
+    return spherical.LineThroughOrigin(direction / np.linalg.norm(direction))
+
+
 def _load_packing_arg(args) -> packings.PeriodicPacking:
     if args.lattice_file:
         return packings.load_packing(Path(args.lattice_file).read_text())
@@ -109,25 +116,17 @@ def cmd_spoil(args) -> int:
     )
     if args.op == "1":
         out = spherical.spoil1_lambda(code, args.lam)
-    elif args.op == "2":
+    elif args.op in ("2", "3"):
         if args.line:
-            direction = np.asarray([float(t) for t in args.line.split(",")])
-            line = spherical.LineThroughOrigin(
-                direction / np.linalg.norm(direction))
-        else:
-            line, _sign, _c = spherical.find_balanced_line(code, seed=args.seed)
-        out, xi = spherical.spoil2(code, line)
-        print(f"# xi={_fmt(xi)} u={_fmt(spherical.xi_to_u(xi))}",
-              file=sys.stderr)
-    elif args.op == "3":
-        if args.line:
-            direction = np.asarray([float(t) for t in args.line.split(",")])
-            line = spherical.LineThroughOrigin(
-                direction / np.linalg.norm(direction))
-            sign = -1 if args.sign == "-" else +1
+            line, sign = _line_arg(args.line), (-1 if args.sign == "-" else +1)
         else:
             line, sign, _c = spherical.find_balanced_line(code, seed=args.seed)
-        out = spherical.spoil3(code, line, sign)
+        if args.op == "2":
+            out, xi = spherical.spoil2(code, line)
+            print(f"# xi={_fmt(xi)} u={_fmt(spherical.xi_to_u(xi))}",
+                  file=sys.stderr)
+        else:
+            out = spherical.spoil3(code, line, sign)
     elif args.op == "up":
         out = spherical.composite_spoil_up(code)
     elif args.op == "down":

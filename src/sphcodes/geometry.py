@@ -26,23 +26,15 @@ def as_unit(coords, eps: float = EPS_UNIT) -> np.ndarray:
     """Validate and return a unit vector as a float64 array.
 
     Raises ValueError if the norm deviates from 1 by more than ``eps``
-    or the dimension is < 1.
+    (a non-finite norm included) or the dimension is < 1.
     """
     v = np.asarray(coords, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise ValueError("unit vector must be a 1-d array of dimension >= 1")
     nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > eps:
+    if not abs(nrm - 1.0) <= eps:  # written so that a nan norm fails too
         raise ValueError(f"vector norm {nrm!r} is not within {eps} of 1")
     return v
-
-
-def normalized(coords) -> np.ndarray:
-    v = np.asarray(coords, dtype=float)
-    nrm = float(np.linalg.norm(v))
-    if nrm <= EPS_UNIT:
-        raise ValueError("cannot normalize a (near-)zero vector")
-    return v / nrm
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from scipy import integrate
 from scipy.special import gammaln
 
 from .bounds import circle_max_points, kl_bound, rankin_curve
-from .errors import BudgetExceeded, CertificateError, InputFormatError
+from .errors import BudgetExceeded, CertificateError, DimensionMismatch, InputFormatError
 from .spherical import SphericalCode
 
 NORM_BUCKET_DECIMALS = 9   # norms bucketed to 1e-9
@@ -38,8 +38,9 @@ class Lattice:
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=float)
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise ValueError("basis must be a square matrix of row vectors")
+        if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] < 1:
+            raise ValueError("basis must be a square matrix of row vectors, "
+                             "dimension >= 1")
         if not np.all(np.isfinite(b)):
             raise ValueError("basis must have finite entries")
         if abs(np.linalg.det(b)) <= 1e-12:
@@ -283,6 +284,11 @@ def shell_code(packing: PeriodicPacking, x0, u: float,
     if u <= 0:
         raise ValueError("u must be positive")
     x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (packing.lattice.dimension,):
+        raise DimensionMismatch(
+            f"x0 has {x0.size} coordinates, the lattice dimension is "
+            f"{packing.lattice.dimension}"
+        )
     centers = _centers_at_distance(packing, x0, u, budget)
     if centers.shape[0] < 2:
         raise ValueError(f"shell at distance {u} has {centers.shape[0]} centers")
@@ -349,6 +355,8 @@ def max_code_density(n: int, phi: float, max_points: float) -> float:
 
 def estimate_max_points(n: int, phi: float) -> tuple[float, str]:
     """Best available cardinality estimate with a label describing its nature."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
     if n == 2:
         return float(circle_max_points(phi)), "exact-circle"
     if phi > math.pi / 2:

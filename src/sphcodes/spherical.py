@@ -9,6 +9,7 @@ requested parameter template.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,7 +23,6 @@ from .errors import (
     DimensionMismatch,
     InputFormatError,
     LambdaOutOfRange,
-    PointOnAxis,
     SearchBudgetExhausted,
 )
 from .geometry import EPS_ANGLE, EPS_NORM, EPS_UNIT, Hyperplane, LineThroughOrigin
@@ -267,10 +267,49 @@ def _scored_candidates(code: SphericalCode, seed: int):
                 return
 
 
-def _first_split(hits: np.ndarray, dirs: np.ndarray, counts: np.ndarray):
-    """(line, sign, count) at the first True of a (k, 2) mask of (row, sign)."""
-    r, s = divmod(int(np.argmax(hits)), 2)
-    return LineThroughOrigin(dirs[r]), 1 - 2 * s, int(counts[r, s])
+def _balanced_splits(code: SphericalCode, seed: int):
+    """Admissible balanced splits ``(line, sign, count)``, card/2 <= count < card.
+
+    Candidates are scored deterministically, a block at a time: every code
+    point as direction, then normalized midpoints of point pairs, then
+    seeded pseudorandom directions, with a budget of 10 * card * n trials.
+    Splits are yielded in that order, +1 before -1, each hemisphere once,
+    skipping candidates that leave a point within EPS_UNIT of the separating
+    hyperplane; the search stops after the candidate that brings the count
+    to 16.  If the budget holds no such split, the first admissible split of
+    a skipped candidate is yielded alone.
+    """
+    if code.card < 2:
+        raise DegenerateCode("balanced split needs at least two points")
+    pts, card = code.points, code.card
+    fallback, seen = None, set()
+    for dirs, dots, clean in _scored_candidates(code, seed):
+        need_fallback = not seen and fallback is None
+        if need_fallback and not clean.all():
+            # the side of a point next to the plane is the one that scoring
+            # the direction on its own gives
+            dots[~clean] = [pts @ d for d in dirs[~clean]]
+        plus = np.count_nonzero(dots >= 0.0, axis=1)
+        counts = np.column_stack([plus, card - plus])  # signs +1, -1
+        valid = (card / 2 <= counts) & (counts < card)
+        if need_fallback and valid.any():
+            r, s = divmod(int(np.argmax(valid)), 2)
+            fallback = LineThroughOrigin(dirs[r]), 1 - 2 * s, int(counts[r, s])
+        for r in np.flatnonzero(clean & valid.any(axis=1)):
+            side = dots[r] >= 0.0
+            for s, mask in enumerate((side, ~side)):
+                if valid[r, s] and mask.tobytes() not in seen:
+                    seen.add(mask.tobytes())
+                    yield LineThroughOrigin(dirs[r]), 1 - 2 * s, int(counts[r, s])
+            if len(seen) >= 16:
+                return
+    if seen:
+        return
+    if fallback is None:
+        raise SearchBudgetExhausted(
+            f"no balanced line found in {10 * card * code.dimension} trials"
+        )
+    yield fallback
 
 
 def find_balanced_line(
@@ -278,36 +317,9 @@ def find_balanced_line(
 ) -> tuple[LineThroughOrigin, int, int]:
     """Find a line whose better hemisphere holds c points, card/2 <= c < card.
 
-    Candidates are scored deterministically, a block at a time: every code
-    point as direction, then normalized midpoints of point pairs, then
-    seeded pseudorandom directions, with a budget of 10 * card * n trials.
-    The first admissible (candidate, sign), +1 before -1, wins; candidates
-    leaving a point within EPS_UNIT of the separating hyperplane are skipped
-    while alternatives remain.
-
-    Returns ``(line, sign, count)``.
+    The first split of :func:`_balanced_splits`.  Returns ``(line, sign, count)``.
     """
-    if code.card < 2:
-        raise DegenerateCode("balanced split needs at least two points")
-    pts, card = code.points, code.card
-    fallback = None
-    for dirs, dots, clean in _scored_candidates(code, seed):
-        if fallback is None and not clean.all():
-            # the side of a point next to the plane is the one that scoring
-            # the direction on its own gives
-            dots[~clean] = [pts @ d for d in dirs[~clean]]
-        plus = np.count_nonzero(dots >= 0.0, axis=1)
-        counts = np.column_stack([plus, card - plus])  # signs +1, -1
-        valid = (card / 2 <= counts) & (counts < card)
-        if (valid & clean[:, None]).any():
-            return _first_split(valid & clean[:, None], dirs, counts)
-        if fallback is None and valid.any():
-            fallback = _first_split(valid, dirs, counts)
-    if fallback is not None:
-        return fallback
-    raise SearchBudgetExhausted(
-        f"no balanced line found in {10 * card * code.dimension} trials"
-    )
+    return next(_balanced_splits(code, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -329,56 +341,25 @@ def _solve_lambda(target_cos: float, current_cos: float) -> float:
 
 def _generic_projection_line(
     code: SphericalCode, rng: np.random.Generator, trials: int = 64
-) -> list[LineThroughOrigin]:
-    """Candidate lines for spoil2 inside composite pipelines.
+) -> np.ndarray:
+    """Candidate unit directions for spoil2 inside composite pipelines, as rows.
 
     Bisectors of point pairs push the minimum-angle cosine down (the two
     points project to nearly antipodal rays); random directions keep it
-    roughly unchanged.  All candidates avoiding points on the axis are
-    returned, ordered bisectors first.
+    roughly unchanged.  All candidates whose residual |x|^2 - <x, d>^2
+    exceeds EPS_UNIT at every point are returned, bisectors first.
     """
     first = code.min_angle_pair
     rest = (p for p in itertools.combinations(range(code.card), 2) if p != first)
-    pairs = itertools.islice(itertools.chain([first], rest), trials // 2)
-    mids = [code.points[a] + code.points[b] for a, b in pairs]
-    cands = [LineThroughOrigin(m / np.linalg.norm(m))
-             for m in mids if np.linalg.norm(m) > EPS_UNIT]
-    draws = rng.standard_normal((trials - len(cands), code.dimension))
-    cands += [LineThroughOrigin(v / np.linalg.norm(v)) for v in draws]
-    return [line for line in cands
-            if np.min(1.0 - (code.points @ line.direction) ** 2) > EPS_UNIT]
-
-
-def _balanced_candidates(
-    code: SphericalCode, seed: int = 0, limit: int = 16
-) -> list[tuple[LineThroughOrigin, int, int]]:
-    """Valid balanced splits, deduplicated and sorted by hemisphere count.
-
-    Same candidate order as find_balanced_line, but all admissible
-    (line, sign, count) triples are collected so pipelines can back off to
-    a different split when a later stage fails.
-    """
-    if code.card < 2:
-        raise DegenerateCode("balanced split needs at least two points")
-    card = code.card
-    found: list[tuple[LineThroughOrigin, int, int]] = []
-    seen: set[bytes] = set()
-    for dirs, dots, clean in _scored_candidates(code, seed):
-        for r in np.flatnonzero(clean):
-            if len(found) >= limit:
-                break
-            side = dots[r] >= 0.0
-            for sign, mask in ((+1, side), (-1, ~side)):
-                count = int(np.count_nonzero(mask))
-                if card / 2 <= count < card and mask.tobytes() not in seen:
-                    seen.add(mask.tobytes())
-                    found.append((LineThroughOrigin(dirs[r]), sign, count))
-        if len(found) >= limit:
-            break
-    if not found:
-        found.append(find_balanced_line(code, seed))
-    found.sort(key=lambda t: t[2])
-    return found
+    a, b = np.array(list(itertools.islice(itertools.chain([first], rest), trials // 2))).T
+    mids = code.points[a] + code.points[b]
+    nrm = np.sqrt(np.vecdot(mids, mids))
+    mids = mids[nrm > EPS_UNIT] / nrm[nrm > EPS_UNIT, None]
+    draws = rng.standard_normal((trials - mids.shape[0], code.dimension))
+    dirs = np.vstack([mids, draws / np.sqrt(np.vecdot(draws, draws))[:, None]])
+    comps = dirs @ code.points.T
+    sq = np.vecdot(code.points, code.points)
+    return dirs[np.min(sq - comps * comps, axis=1) > EPS_UNIT]
 
 
 def _spoil2_below(
@@ -386,29 +367,43 @@ def _spoil2_below(
 ) -> SphericalCode:
     """Apply spoil2 with a line keeping the result's cos phi <= ceiling.
 
-    Tries candidate lines and returns the first admissible result that also
-    preserves cardinality; raises LambdaOutOfRange if none is found.
+    Every candidate line is scored by the largest off-diagonal entry of the
+    projected Gram matrix (G - c c^T) / (r r^T), with c the points' axis
+    components and r = sqrt(|x|^2 - c^2) their residual norms, in blocks of
+    at most BLOCK_ENTRIES entries but at least one card x card Gram.  The
+    first line scoring below ``ceiling - 0.05`` wins, else the first lowest
+    one <= ceiling; spoil2 is applied to that line alone.  Raises
+    LambdaOutOfRange if no line qualifies or the projection merges points.
     """
-    best = None
-    for line in _generic_projection_line(code, rng):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                out, _ = spoil2(code, line)
-        except (DegenerateCode, PointOnAxis):
-            continue
-        if out.card != code.card:
-            continue
-        c = out.cos_min_angle
-        if c <= ceiling and (best is None or c < best.cos_min_angle):
-            best = out
-            if c < ceiling - 0.05:
-                break
-    if best is None:
+    dirs = _generic_projection_line(code, rng)
+    pts, card = code.points, code.card
+    gram = pts @ pts.T
+    sq, diag = np.diagonal(gram), np.arange(card)
+    rows = max(1, BLOCK_ENTRIES // (card * card))
+    block = np.empty((min(rows, dirs.shape[0]), card, card))
+    scores = np.full(dirs.shape[0], np.inf)
+    for start in range(0, dirs.shape[0], rows):
+        c = dirs[start:start + rows] @ pts.T
+        r = np.sqrt(sq - c * c)
+        s = np.multiply(c[:, :, None], c[:, None, :], out=block[:c.shape[0]])
+        np.subtract(gram, s, out=s)
+        s /= r[:, :, None]
+        s /= r[:, None, :]
+        s[:, diag, diag] = -np.inf
+        scores[start:start + rows] = s.max(axis=(1, 2))
+        if np.any(scores < ceiling - 0.05):
+            break
+    if not np.any(scores <= ceiling):
         raise LambdaOutOfRange(
             f"no projection line keeps cos phi below {ceiling:.6g}"
         )
-    return best
+    del gram, block, s  # spoil2 must not add to the scoring's peak memory
+    below = np.flatnonzero(scores < ceiling - 0.05)
+    best = below[0] if below.size else np.argmin(scores)
+    out, _ = spoil2(code, LineThroughOrigin(dirs[best]))
+    if out.card != code.card:
+        raise LambdaOutOfRange("the chosen projection line merges points")
+    return out
 
 
 def _restrict_project_embed(
@@ -427,7 +422,7 @@ def _restrict_project_embed(
         lam_solved = _solve_lambda(target, out.cos_min_angle)
         return spoil1_lambda(out, lam_solved)
     last_error: Exception | None = None
-    for line, sign, _count in _balanced_candidates(current, seed):
+    for line, sign, _count in sorted(_balanced_splits(current, seed), key=lambda t: t[2]):
         try:
             return _restrict_project_embed(
                 spoil3(current, line, sign), steps_left - 1, target, seed
@@ -470,7 +465,7 @@ def numerical_spoil(
         return spoil1_lambda(code, lam)
     if template == "dim_down":
         if line is None:
-            line = _generic_projection_line(code, rng)[0]
+            line = LineThroughOrigin(_generic_projection_line(code, rng)[0])
         out, _ = spoil2(code, line)
         return out
     if template == "subcode":
@@ -547,7 +542,7 @@ def load_spherical_code(text: str, *, normalize: bool = False) -> SphericalCode:
             raise InputFormatError(
                 f"expected {dim} coordinates, got {len(coords)}", lineno
             )
-        nrm = float(np.linalg.norm(coords))
+        nrm = math.hypot(*coords)
         if not normalize and abs(nrm - 1.0) > EPS_NORM:
             raise InputFormatError(
                 f"point norm {nrm!r} not within {EPS_NORM} of 1 (use normalize)", lineno

@@ -96,6 +96,22 @@ def test_spoil_rejects_non_finite_coordinates(capsys, tmp_path, bad, flags):
     assert not (tmp_path / "o.txt").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, flags", [
+    ("dim 3\n1 0 0\n0 1 0\n", ["--op", "3", "--line", "nan,0,1"]),
+    ("dim 3\n1 0 0\n0 1 0\n", ["--op", "2", "--line", "0,0,0"]),
+    ("dim 3\n1 0 0\n0 1 0\n", ["--op", "2", "--line", "inf,0,1"]),
+    ("dim 2\n1e200 0\n0 1\n", ["--op", "2"]),
+], ids=["nan-line", "zero-line", "inf-line", "huge-coordinate"])
+def test_spoil_rejects_bad_line_and_norm(capsys, tmp_path, text, flags):
+    path = tmp_path / "code.txt"
+    path.write_text(text)
+    rc, out, err = run(capsys, "spoil", str(path), *flags)
+    assert rc == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 def test_theta_output(capsys):
     rc, out, _ = run(capsys, "theta", "--lattice", "Z", "--dim", "2",
                      "--m-max", "5")
@@ -121,6 +137,9 @@ PACKING_FILES = {
     *(["theta", "--lattice-file", name] for name in sorted(PACKING_FILES)),
     ["shell", "--lattice", "Z", "--dim", "2", "--x0", "nan,0", "--u", "1"],
     ["shell", "--lattice", "Z", "--dim", "2", "--u", "inf"],
+    ["theta", "--lattice", "Z", "--dim", "0"],
+    ["shell", "--lattice", "Z", "--dim", "2", "--x0", "1,2,3", "--u", "1"],
+    ["density", "--n", "0", "--phi", "1"],
 ], ids=lambda argv: " ".join(argv[1:]))
 def test_packing_queries_reject_bad_input(capsys, tmp_path, argv):
     if argv[1] == "--lattice-file":

@@ -47,6 +47,8 @@ def test_chordal_identity_random_dims(dim, seed):
 def test_as_unit_rejects_non_unit():
     with pytest.raises(ValueError):
         geometry.as_unit([1.0, 1.0])
+    with pytest.raises(ValueError):
+        geometry.as_unit([np.nan, 0.0, 1.0])
 
 
 def test_min_angle_of_orthoplex():

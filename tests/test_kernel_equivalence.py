@@ -6,15 +6,25 @@ arithmetic is the same the results must be identical; where only the
 order of summation changed, the tolerance is set from float64 rounding.
 """
 
+import copy
 import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from sphcodes import atlas as atlas_mod
 from sphcodes import binary, bounds, geometry, packings, spherical
-from sphcodes.errors import BudgetExceeded, DegenerateCode, SearchBudgetExhausted
+from sphcodes.errors import (
+    BudgetExceeded,
+    DegenerateCode,
+    LambdaOutOfRange,
+    PointOnAxis,
+    SearchBudgetExhausted,
+    SphCodesError,
+)
 from sphcodes.geometry import EPS_ANGLE, EPS_UNIT, LineThroughOrigin
 
 
@@ -110,6 +120,41 @@ def ref_balanced_candidates(code, seed=0, limit=16):
         found.append(ref_find_balanced_line(code, seed))
     found.sort(key=lambda t: t[2])
     return found
+
+
+def ref_generic_projection_line(code, rng, trials=64):
+    first = code.min_angle_pair
+    rest = (p for p in itertools.combinations(range(code.card), 2) if p != first)
+    pairs = itertools.islice(itertools.chain([first], rest), trials // 2)
+    mids = [code.points[a] + code.points[b] for a, b in pairs]
+    cands = [LineThroughOrigin(m / np.linalg.norm(m))
+             for m in mids if np.linalg.norm(m) > EPS_UNIT]
+    draws = rng.standard_normal((trials - len(cands), code.dimension))
+    cands += [LineThroughOrigin(v / np.linalg.norm(v)) for v in draws]
+    return [line for line in cands
+            if np.min(1.0 - (code.points @ line.direction) ** 2) > EPS_UNIT]
+
+
+def ref_spoil2_below(code, ceiling, rng):
+    """spoil2 on every candidate line in turn, keeping the best admissible result."""
+    best = None
+    for line in ref_generic_projection_line(code, rng):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                out, _ = spherical.spoil2(code, line)
+        except (DegenerateCode, PointOnAxis):
+            continue
+        if out.card != code.card:
+            continue
+        c = out.cos_min_angle
+        if c <= ceiling and (best is None or c < best.cos_min_angle):
+            best = out
+            if c < ceiling - 0.05:
+                break
+    if best is None:
+        raise LambdaOutOfRange(f"no projection line keeps cos phi below {ceiling:.6g}")
+    return best
 
 
 def ref_envelope(atlas):
@@ -275,7 +320,7 @@ def test_find_balanced_line_matches_scalar_search(name):
 @pytest.mark.parametrize("name", sorted(set(SPLIT_CODES) - {"parity-8-twice"}))
 def test_balanced_candidates_match_scalar_search(name):
     code = SPLIT_CODES[name]()
-    new = spherical._balanced_candidates(code, seed=3)
+    new = sorted(spherical._balanced_splits(code, seed=3), key=lambda t: t[2])
     ref = ref_balanced_candidates(code, seed=3)
     assert len(new) == len(ref)
     assert all(same_split(a, b) for a, b in zip(new, ref))
@@ -286,6 +331,80 @@ def test_fallback_split_leaves_points_on_the_plane():
     line, sign, count = spherical.find_balanced_line(code)
     assert np.min(np.abs(code.points @ line.direction)) <= EPS_UNIT
     assert spherical.spoil3(code, line, sign).card == count
+
+
+def checked_spoil2_below(calls):
+    """_spoil2_below that also runs the loop reference on a copy of its rng
+    and asserts the same points (or exception class) and rng state."""
+    new_below = spherical._spoil2_below
+
+    def below(code, ceiling, rng):
+        ref_rng = copy.deepcopy(rng)
+        outcomes = []
+        for func, gen in ((ref_spoil2_below, ref_rng), (new_below, rng)):
+            try:
+                outcomes.append(func(code, ceiling, gen))
+            except SphCodesError as exc:
+                outcomes.append(exc)
+        want, got = outcomes
+        calls.append(type(got).__name__)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        if isinstance(want, Exception):
+            assert type(got) is type(want)
+            raise got
+        assert np.array_equal(got.points, want.points)
+        return got
+
+    return below
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_spoil2_below_matches_loop_on_hadamard_down(monkeypatch, order):
+    calls = []
+    monkeypatch.setattr(spherical, "_spoil2_below", checked_spoil2_below(calls))
+    code = hadamard_code(order)
+    for phi_c in (0.2, 0.3, 0.4):
+        for seed in range(6):
+            try:
+                spherical.composite_spoil_down(code, phi_c, seed=seed)
+            except SphCodesError:
+                pass
+    assert "SphericalCode" in calls
+
+
+def test_spoil2_below_matches_loop_on_random_subcodes(monkeypatch):
+    calls = []
+    monkeypatch.setattr(spherical, "_spoil2_below", checked_spoil2_below(calls))
+    for seed in range(30):
+        try:
+            spherical.numerical_spoil(random_code(seed, 12, 6), "subcode", seed=seed)
+        except SphCodesError:
+            pass
+    assert calls.count("SphericalCode") >= 30
+
+
+def test_down_pipeline_applies_spoil2_once_per_projection(monkeypatch):
+    calls = []
+    spoil2 = spherical.spoil2
+    monkeypatch.setattr(spherical, "spoil2",
+                        lambda *a: calls.append(1) or spoil2(*a))
+    out = spherical.composite_spoil_down(hadamard_code(4), 0.3)
+    assert (out.dimension, out.card) == (15, 4)
+    assert 2 <= len(calls) <= 10
+
+
+def test_spoil2_below_peaks_like_one_min_angle_call():
+    code = random_code(2, 800, 8)
+    tracemalloc.start()
+    try:
+        geometry.min_angle(code.points)
+        gram_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        spherical._spoil2_below(code, 1.0, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * gram_peak
 
 
 @pytest.mark.parametrize("seed", [0, 3])
