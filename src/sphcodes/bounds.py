@@ -153,14 +153,12 @@ class CutoffRegion:
     """Window phi in [phi_c, pi/2], 0 <= R <= H(phi_c)."""
 
     phi_c: float
+    rate_cap: float = field(init=False, repr=False, compare=False)  # H(phi_c)
 
     def __post_init__(self):
         if not (0.0 < self.phi_c < math.pi / 2):
             raise ValueError(f"phi_c must be in (0, pi/2), got {self.phi_c}")
-
-    @property
-    def rate_cap(self) -> float:
-        return kl_bound(self.phi_c)
+        object.__setattr__(self, "rate_cap", kl_bound(self.phi_c))
 
     @property
     def a_c(self) -> int:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import atlas as atlas_mod
-from . import binary, bounds, emit, packings, spherical
+from . import binary, bounds, emit, geometry, packings, spherical
 from .errors import SphCodesError
 
 BUDGET_ENV = "SPHCODES_BUDGET"
@@ -43,6 +43,7 @@ def _line_arg(text: str) -> spherical.LineThroughOrigin:
     direction = np.asarray([float(t) for t in text.split(",")])
     if not (np.all(np.isfinite(direction)) and direction.any()):
         raise ValueError(f"--line must be a finite nonzero direction, got {text!r}")
+    direction = geometry.scaled_rows(direction)
     return spherical.LineThroughOrigin(direction / np.linalg.norm(direction))
 
 

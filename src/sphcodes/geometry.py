@@ -37,6 +37,17 @@ def as_unit(coords, eps: float = EPS_UNIT) -> np.ndarray:
     return v
 
 
+def scaled_rows(x) -> np.ndarray:
+    """Rows of ``x``, each scaled by a power of two to a largest |entry| in [0.5, 1).
+
+    The scaling is exact, so the norm of a scaled row can neither overflow
+    nor underflow, and the row divided by that norm is bit for bit the unit
+    vector of the row.  An all-zero row stays as it is.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.ldexp(x, -np.frexp(np.abs(x).max(axis=-1, keepdims=True))[1])
+
+
 @dataclass(frozen=True)
 class Hyperplane:
     """Affine hyperplane {x : <x, normal> = offset} with 0 <= offset < 1.

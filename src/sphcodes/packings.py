@@ -16,8 +16,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammaln
 
 from .bounds import circle_max_points, kl_bound, rankin_curve
 from .errors import BudgetExceeded, CertificateError, DimensionMismatch, InputFormatError
@@ -190,11 +188,14 @@ def theta_lattice(lattice: Lattice, m_max: float,
 
 @dataclass(frozen=True)
 class PeriodicPacking:
-    """Spheres of one radius centered on finitely many lattice translates."""
+    """Spheres of one radius centered on finitely many lattice translates.
+
+    A radius of None is the largest legal one: the spheres touch.
+    """
 
     lattice: Lattice
     translates: tuple = ()
-    radius: float = 0.5
+    radius: float | None = 0.5
 
     def __post_init__(self):
         n = self.lattice.dimension
@@ -204,12 +205,16 @@ class PeriodicPacking:
         for t in ts:
             if t.shape != (n,):
                 raise ValueError("translate dimension mismatch")
-        if not self.radius > 0:
+            if not np.all(np.isfinite(t)):
+                raise ValueError("translates must have finite coordinates")
+        if not (self.radius is None or self.radius > 0):
             raise ValueError("radius must be positive")
         object.__setattr__(self, "translates", tuple(map(tuple, ts)))
         # non-overlap; distinct translate classes are checked on the way
         min_d = self.min_center_distance()
-        if min_d < 2 * self.radius - 1e-9:
+        if self.radius is None:
+            object.__setattr__(self, "radius", min_d / 2)
+        elif min_d < 2 * self.radius - 1e-9:
             raise ValueError(
                 f"spheres overlap: min center distance {min_d:.6g} < 2r"
             )
@@ -325,19 +330,50 @@ def sphere_area(n: int) -> float:
     """Surface area of the unit sphere S^{n-1} in R^n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return n * math.pi ** (n / 2) / math.exp(gammaln(n / 2 + 1))
+    return n * math.pi ** (n / 2) / math.exp(math.lgamma(n / 2 + 1))
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of B(x; a, b) / (x^a (1-x)^b / a), modified Lentz.
+
+    Converges quickly for x < (a + 1) / (a + b + 2) (Numerical Recipes 6.4).
+    """
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 10_000):
+        for coeff in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                      -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + coeff * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + coeff / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) <= 2.0 ** -52:
+            return h
+    raise ValueError(f"incomplete beta fraction did not converge (a={a}, b={b}, x={x})")
 
 
 def cap_area(n: int, phi: float) -> float:
-    """Area of a spherical cap of angular radius phi/2 on S^{n-1}."""
+    """Area of a spherical cap of angular radius phi/2 on S^{n-1}.
+
+    The area is A(n-1) times the integral of sin^{n-2} over [0, phi/2],
+    which is B(x; a, 1/2) / 2 with x = sin^2(phi/2) and a = (n-1)/2.  Past
+    the fraction's crossover the complement B(1-x; 1/2, a), with 1 - x
+    taken as cos^2(phi/2), is subtracted from the half sphere.
+    """
     if n < 2:
         raise ValueError("n must be >= 2")
     if not (0.0 <= phi <= math.pi):
         raise ValueError("phi must be in [0, pi]")
-    integral, _err = integrate.quad(
-        lambda x: math.sin(x) ** (n - 2), 0.0, phi / 2, epsabs=1e-12
-    )
-    return sphere_area(n - 1) * integral
+    a = (n - 1) / 2
+    s, c = math.sin(phi / 2), math.cos(phi / 2)
+    front = s ** (n - 1) * c  # x^a (1-x)^(1/2)
+    if s * s < (a + 1.0) / (a + 2.5):
+        return sphere_area(n - 1) * front * _beta_fraction(a, 0.5, s * s) / (2 * a)
+    rest = front * _beta_fraction(0.5, a, c * c)
+    return sphere_area(n) / 2 - sphere_area(n - 1) * rest
 
 
 def code_density(code: SphericalCode) -> float:
@@ -365,7 +401,7 @@ def estimate_max_points(n: int, phi: float) -> tuple[float, str]:
 
 
 def ball_volume(n: int, radius: float) -> float:
-    return math.pi ** (n / 2) * radius ** n / math.exp(gammaln(n / 2 + 1))
+    return math.pi ** (n / 2) * radius ** n / math.exp(math.lgamma(n / 2 + 1))
 
 
 def packing_density(packing: PeriodicPacking) -> float:
@@ -463,9 +499,7 @@ def lattice_by_name(name: str, dim: int | None = None) -> Lattice:
 
 def touching_packing(lattice: Lattice, translates=()) -> PeriodicPacking:
     """Packing with the largest legal radius (spheres touch)."""
-    probe = PeriodicPacking(lattice, tuple(translates), radius=1e-9)
-    return PeriodicPacking(lattice, tuple(translates),
-                           radius=probe.min_center_distance() / 2)
+    return PeriodicPacking(lattice, tuple(translates), radius=None)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +533,10 @@ def _header_value(parts: list[str], kind, ok, lineno: int):
 
 
 def load_packing(text: str, default_radius: float | None = None) -> PeriodicPacking:
-    """Parse "dim n", n basis rows, optional translates and radius sections."""
+    """Parse "dim n", n basis rows, optional translates and radius sections.
+
+    Without a radius (here or as ``default_radius``) the spheres touch.
+    """
     dim = None
     rows: list[list[float]] = []
     radius = default_radius
@@ -529,7 +566,4 @@ def load_packing(text: str, default_radius: float | None = None) -> PeriodicPack
         raise InputFormatError("incomplete basis")
     if len(rows) != dim + expect_translates:
         raise InputFormatError("missing translate rows")
-    lat = Lattice(np.asarray(rows[:dim]))
-    if radius is None:
-        return touching_packing(lat, rows[dim:])
-    return PeriodicPacking(lat, tuple(rows[dim:]), radius)
+    return PeriodicPacking(Lattice(np.asarray(rows[:dim])), tuple(rows[dim:]), radius)

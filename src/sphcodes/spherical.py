@@ -54,8 +54,11 @@ class SphericalCode:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError("points must be a (card, n) array with card, n >= 1")
-        if not np.all(np.isfinite(pts)):
+        top = np.abs(pts).max()  # nan or inf when a coordinate is not finite
+        if not top < math.inf:
             raise ValueError("points must have finite coordinates")
+        if normalize and top > 2.0 ** 500:  # the squared norms could overflow
+            pts = geometry.scaled_rows(pts)
         norms = np.linalg.norm(pts, axis=1)
         if normalize:
             if np.any(norms <= EPS_UNIT):

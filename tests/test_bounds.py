@@ -133,6 +133,18 @@ def test_cutoff_region_values():
     assert not cut.contains(0.3, cut.rate_cap + 1)
 
 
+def test_cutoff_rate_cap_is_computed_once(monkeypatch):
+    calls = []
+    real = bounds.kl_bound
+    monkeypatch.setattr(bounds, "kl_bound", lambda phi: calls.append(phi) or real(phi))
+    cut = bounds.CutoffRegion(0.4)
+    for k in range(100):
+        cut.contains(0.3, k / 100)
+    assert calls == [0.4]
+    assert cut.rate_cap == real(0.4)
+    assert cut == bounds.CutoffRegion(0.4)
+
+
 def test_regions_partition_window():
     cut = bounds.CutoffRegion(0.5)
     regs = bounds.controlling_regions((0.4, 0.6), cut)

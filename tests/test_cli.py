@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sphcodes import bounds, cli, spherical
 
@@ -112,6 +114,25 @@ def test_spoil_rejects_bad_line_and_norm(capsys, tmp_path, text, flags):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, flags, unit_text, unit_flags", [
+    ("dim 3\n1 0 0\n0 1 0\n0 0 1\n", ["--line", "1e200,1e200,0"],
+     "dim 3\n1 0 0\n0 1 0\n0 0 1\n", ["--line", "1,1,0"]),
+    ("dim 3\n1e200 0 0\n0 1 0\n0 0 1\n", ["--line", "1,1,1", "--normalize"],
+     "dim 3\n1 0 0\n0 1 0\n0 0 1\n", ["--line", "1,1,1"]),
+], ids=["huge-line", "huge-coordinate-normalized"])
+def test_spoil_accepts_extreme_magnitudes(capsys, tmp_path, text, flags,
+                                         unit_text, unit_flags):
+    outs = []
+    for body, extra in ((text, flags), (unit_text, unit_flags)):
+        path = tmp_path / "code.txt"
+        path.write_text(body)
+        rc, out, err = run(capsys, "spoil", str(path), "--op", "2", *extra)
+        assert rc == 0 and "error" not in err
+        outs.append(spherical.load_spherical_code(out).points)
+    assert np.allclose(outs[0], outs[1], rtol=0, atol=1e-15)
+
+
 def test_theta_output(capsys):
     rc, out, _ = run(capsys, "theta", "--lattice", "Z", "--dim", "2",
                      "--m-max", "5")
@@ -147,6 +168,65 @@ def test_packing_queries_reject_bad_input(capsys, tmp_path, argv):
         path.write_text(PACKING_FILES[argv[2]])
         argv = [*argv[:2], str(path)]
     rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+# file format read by each file-reading subcommand; "{}" is the file
+FILE_COMMANDS = {
+    "spoil": ("code", ["spoil", "{}", "--op", "2"]),
+    "density": ("code", ["density", "--code", "{}"]),
+    "embed": ("binary", ["embed", "{}"]),
+    "theta": ("packing", ["theta", "--lattice-file", "{}"]),
+    "kissing": ("packing", ["kissing", "--lattice-file", "{}"]),
+    "shell": ("packing", ["shell", "--lattice-file", "{}", "--u", "1"]),
+}
+
+
+def valid_rows(fmt, n):
+    """Token rows of a well-formed file of the format in dimension n."""
+    if fmt == "binary":
+        return [[format(k, f"0{n}b")] for k in range(2 ** n)]
+    eye = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+    if fmt == "code":
+        return [["dim", str(n)], *eye, *[["-1" if t == "1" else t for t in row]
+                                         for row in eye]]
+    return [["dim", str(n)], *eye, ["translates", "2"], ["0"] * n, ["0.5"] * n]
+
+
+@st.composite
+def malformed_files(draw, fmt):
+    n = draw(st.integers(2, 3))
+    rows = valid_rows(fmt, n)
+    kind = draw(st.sampled_from(["non-finite", "ragged", "bare-header", "bad-word"]))
+    if kind == "bare-header":
+        return f"dim {n}\n"
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    col = draw(st.integers(0, len(row) - 1))
+    if kind == "non-finite":
+        row[col] = draw(st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"]))
+    elif kind == "ragged":
+        row[col] = row[col][:-1] if fmt == "binary" else ""
+    elif fmt == "binary":
+        word = row[col]
+        at = draw(st.integers(0, len(word) - 1))
+        row[col] = word[:at] + draw(st.sampled_from("2x-")) + word[at + 1:]
+    else:
+        row[col] += draw(st.sampled_from(["x", ",", "e"]))
+    return "".join(" ".join(r) + "\n" for r in rows)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_input_file_gives_one_error_line(capsys, tmp_path, command, data):
+    fmt, argv = FILE_COMMANDS[command]
+    path = tmp_path / "input.txt"
+    path.write_text(data.draw(malformed_files(fmt), label="file"))
+    rc, out, err = run(capsys, *(a.format(path) for a in argv))
     assert rc == 1
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")

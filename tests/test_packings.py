@@ -1,8 +1,12 @@
 import itertools
 import math
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -167,6 +171,21 @@ def test_periodic_rejects_overlap():
         packings.PeriodicPacking(lat, ((0.0, 0.0),), radius=0.6)
 
 
+def test_touching_packing_enumerates_each_coset_once(monkeypatch):
+    calls = []
+    real = packings.coset_min_norm
+
+    def counted(lattice, t):
+        calls.append(t)
+        return real(lattice, t)
+
+    monkeypatch.setattr(packings, "coset_min_norm", counted)
+    packing = packings.touching_packing(packings.integer_lattice(3),
+                                        ((0.0, 0.0, 0.0), (0.5, 0.5, 0.5)))
+    assert len(calls) == 1
+    assert packing.radius == math.sqrt(0.75) / 2
+
+
 # -- shells and kissing ----------------------------------------------------------
 
 def test_kissing_square_lattice():
@@ -227,6 +246,41 @@ def test_cap_area_half_sphere():
         assert packings.cap_area(n, math.pi) == pytest.approx(
             packings.sphere_area(n) / 2, rel=1e-12
         )
+
+
+AREA_DIMENSIONS = [*range(2, 41), 48, 64, 96, 128, 200, 256]
+PHI_GRID = [math.pi * k / 37 for k in range(1, 38)]  # (0, pi], pi included
+
+
+def _assert_close(got, exact):
+    if exact > mpmath.mpf("1e-290"):
+        assert abs(got - exact) <= 1e-12 * exact
+
+
+@mpmath.workdps(50)
+def test_areas_match_high_precision_oracle():
+    for n in AREA_DIMENSIONS:
+        half = mpmath.mpf(n) / 2
+        sphere = 2 * mpmath.pi ** half / mpmath.gamma(half)
+        _assert_close(packings.sphere_area(n), sphere)
+        for r in (0.5, 1.0, 1.5):
+            _assert_close(packings.ball_volume(n, r), sphere * mpmath.mpf(r) ** n / n)
+        a = half - mpmath.mpf(1) / 2
+        lower = 2 * mpmath.pi ** a / mpmath.gamma(a)  # area of S^{n-2}
+        for phi in PHI_GRID:
+            x = mpmath.sin(mpmath.mpf(phi) / 2) ** 2
+            _assert_close(packings.cap_area(n, phi),
+                          lower * mpmath.betainc(a, 0.5, 0, x) / 2)
+
+
+def test_cli_import_leaves_scipy_out():
+    src = Path(packings.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sphcodes.cli, sys; print('scipy' in sys.modules)"],
+        cwd=src, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "False\n"
 
 
 def test_square_code_density_is_one():
