@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import geometry
 from .errors import DegenerateAnchor, DimensionMismatch, InputFormatError
 from .spherical import SphericalCode
 
@@ -57,14 +58,17 @@ class BinaryCode:
 
     @cached_property
     def min_distance(self) -> int:
-        """Minimum pairwise Hamming distance; 0 for a singleton code."""
+        """Minimum pairwise Hamming distance; 0 for a singleton code.
+
+        The words as rows of +-1 have inner products n - 2d, exact integers
+        in float64, so d is read off the largest one.
+        """
         if self.card == 1:
             return 0
-        return min(
-            hamming_distance(a, b)
-            for i, a in enumerate(self._words)
-            for b in self._words[i + 1:]
-        )
+        bits = np.frombuffer("".join(self._words).encode(), dtype=np.uint8) - ord("0")
+        signs = 1.0 - 2.0 * bits.reshape(self.card, self._length)
+        top, _pair = geometry.max_gram_pair(signs)
+        return (self._length - int(top)) // 2
 
     def __eq__(self, other):
         return isinstance(other, BinaryCode) and self._words == other._words

@@ -228,27 +228,6 @@ class ControllingRegions:
         val = min(self.line1(x), self.line2(x))
         return min(max(val, 0.0), self.cutoff.rate_cap)
 
-    def polygon(self, tag: str, samples: int = 64) -> list[tuple[float, float]]:
-        """Vertex chain describing one region, for serialization and plots."""
-        cx, cap = self.cutoff.cos_phi_c, self.cutoff.rate_cap
-        xs = np.linspace(0.0, cx, samples)
-        if tag == "D":
-            top = [(float(x), self.lower_boundary(float(x))) for x in xs]
-            return top + [(cx, 0.0), (0.0, 0.0)]
-        if tag == "U":
-            bot = [(float(x), min(max(max(self.line1(float(x)), self.line2(float(x))), 0.0), cap))
-                   for x in xs]
-            return bot + [(cx, cap), (0.0, cap)]
-        if tag == "L":
-            lo = [(float(x), min(max(self.line2(float(x)), 0.0), cap)) for x in xs]
-            hi = [(float(x), min(max(self.line1(float(x)), 0.0), cap)) for x in xs[::-1]]
-            return lo + hi
-        if tag == "R":
-            lo = [(float(x), min(max(self.line1(float(x)), 0.0), cap)) for x in xs]
-            hi = [(float(x), min(max(self.line2(float(x)), 0.0), cap)) for x in xs[::-1]]
-            return lo + hi
-        raise ValueError(f"unknown region tag {tag!r}")
-
 
 def controlling_regions(anchor: tuple[float, float],
                         cutoff: CutoffRegion) -> ControllingRegions:

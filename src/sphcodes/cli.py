@@ -142,7 +142,7 @@ def cmd_spoil(args) -> int:
 
 def cmd_atlas(args) -> int:
     cutoff = bounds.CutoffRegion(args.phi_c)
-    budget = args.budget if args.budget else _default_budget(10_000)
+    budget = args.budget if args.budget is not None else _default_budget(10_000)
     built = atlas_mod.atlas_build(None, cutoff, budget, seed=args.seed)
     _write(args.out, atlas_mod.dump_atlas(built))
     return 0
@@ -192,16 +192,17 @@ def cmd_density(args) -> int:
         packing = _load_packing_arg(args)
         print(f"packing_density {_fmt(packings.packing_density(packing))}")
         return 0
+    # every value is computed before the first line is printed, so that a
+    # failure leaves stdout empty
     est, label = packings.estimate_max_points(args.n, args.phi)
-    print(f"max_points_estimate {_fmt(est)} ({label})")
-    print(f"max_code_density "
-          f"{_fmt(packings.max_code_density(args.n, args.phi, est))}")
+    rows = [f"max_points_estimate {_fmt(est)} ({label})",
+            f"max_code_density {_fmt(packings.max_code_density(args.n, args.phi, est))}"]
     if args.phi >= math.pi / 3:
         def upper(nn, pp):
             return packings.estimate_max_points(nn, pp)[0]
         b31, b32 = packings.density_bounds(args.n, args.phi, upper)
-        print(f"packing_bound_embed {_fmt(b31)}")
-        print(f"packing_bound_proj {_fmt(b32)}")
+        rows += [f"packing_bound_embed {_fmt(b31)}", f"packing_bound_proj {_fmt(b32)}"]
+    print("\n".join(rows))
     return 0
 
 
@@ -324,7 +325,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (SphCodesError, ValueError, OSError) as exc:
+    except (SphCodesError, ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

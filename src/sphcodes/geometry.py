@@ -7,7 +7,8 @@ mutated in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +21,8 @@ EPS_UNIT = 1e-12
 EPS_NORM = 1e-9
 # Tolerance for angle comparisons (coarser: arccos loses precision near 0 and pi).
 EPS_ANGLE = 1e-9
+# Gram strips and candidate-score blocks hold at most this many float64 entries.
+BLOCK_ENTRIES = 1 << 18
 
 
 def as_unit(coords, eps: float = EPS_UNIT) -> np.ndarray:
@@ -111,23 +114,59 @@ def chordal_distance(x, y) -> float:
 
 
 def pairwise_cos(points: np.ndarray) -> np.ndarray:
-    """Gram matrix of a (card, n) array, clamped to [-1, 1]."""
+    """Gram matrix of a (card, n) array, clamped to [-1, 1].
+
+    The package itself scans Gram strips instead (:func:`max_gram_pair`);
+    the benchmark's tracer still wraps this function by name.
+    """
     g = points @ points.T
     return np.clip(g, -1.0, 1.0)
 
 
+def _gram_strips(x: np.ndarray):
+    """Row strips of the upper triangle of the Gram matrix of the rows of ``x``.
+
+    Yields ``(start, x[start:stop] @ x[start:].T)``: entry (r, c) of a strip
+    is the pair (start + r, start + c), a pair i < j where r < c.  A strip
+    holds at most BLOCK_ENTRIES entries and at least one row.  Its row
+    count is a power of two, and no smaller than that of the strips before
+    it, so every strip starts at a multiple of the first one's row count:
+    BLAS kernels then tile a strip as they tile the whole Gram matrix, and
+    equal entries round alike in both.
+    """
+    card, start = x.shape[0], 0
+    while start < card:
+        stop = start + (1 << (max(1, BLOCK_ENTRIES // (card - start)).bit_length() - 1))
+        yield start, x[start:stop] @ x[start:].T
+        start = stop
+
+
+def max_gram_pair(x) -> tuple[float, tuple[int, int]]:
+    """Largest off-diagonal Gram entry of >= 2 rows and its pair i < j.
+
+    Of equal entries, the pair first in row-major order is returned.
+    """
+    best, pair = -math.inf, (0, 1)
+    for start, strip in _gram_strips(np.asarray(x, dtype=float)):
+        rows = np.arange(strip.shape[0])
+        strip[:, :rows.size][rows[:, None] >= rows] = -np.inf  # the pairs j <= i
+        k = int(np.argmax(strip))
+        if strip.flat[k] > best:  # strict, so that an earlier strip wins a tie
+            r, c = divmod(k, strip.shape[1])
+            best, pair = float(strip.flat[k]), (start + r, start + c)
+    return best, pair
+
+
 def min_angle(points) -> tuple[float, tuple[int, int]]:
-    """Minimum pairwise angle of >= 2 unit vectors, with the argmin pair.
+    """Minimum pairwise angle of >= 2 unit vectors, with the argmin pair i < j.
 
     Raises DegenerateCode for fewer than two points.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise DegenerateCode("minimum angle needs at least two points")
-    g = pairwise_cos(pts)
-    np.fill_diagonal(g, -np.inf)
-    i, j = np.unravel_index(int(np.argmax(g)), g.shape)
-    return float(np.arccos(g[i, j])), (min(i, j), max(i, j))
+    cos, pair = max_gram_pair(pts)
+    return float(np.arccos(clamp_cos(cos))), pair
 
 
 def section_radius(h: float) -> float:

@@ -251,11 +251,9 @@ def theta_periodic(packing: PeriodicPacking, m_max: float,
                    budget: int = DEFAULT_POINT_BUDGET) -> ThetaCoefficients:
     """Averaged counts over all translate pairs; exact rationals over ell.
 
-    With one translate the packing is a shifted lattice, counted by
-    theta_lattice (ints).
+    With one translate the packing is a shifted lattice, and the counts
+    are those of the lattice (ints).
     """
-    if len(packing.translates) == 1:
-        return theta_lattice(packing.lattice, m_max, budget)
     return _theta(packing.lattice, packing.translate_vectors, m_max, budget)
 
 

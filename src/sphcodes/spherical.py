@@ -25,11 +25,15 @@ from .errors import (
     LambdaOutOfRange,
     SearchBudgetExhausted,
 )
-from .geometry import EPS_ANGLE, EPS_NORM, EPS_UNIT, Hyperplane, LineThroughOrigin
+from .geometry import (
+    BLOCK_ENTRIES,
+    EPS_ANGLE,
+    EPS_NORM,
+    EPS_UNIT,
+    Hyperplane,
+    LineThroughOrigin,
+)
 from .kl import kl_bound
-
-# Gram and candidate-score blocks hold at most this many float64 entries.
-BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -120,22 +124,22 @@ class SphericalCode:
 def merge_close_points(pts: np.ndarray, eps: float = EPS_ANGLE) -> np.ndarray:
     """Drop points whose angle to an earlier kept point is below ``eps``.
 
-    The first point of each close group is kept.  Row blocks of the Gram
-    matrix select the pairs with cosine near cos(eps), and only those are
-    tested with :func:`geometry.angle_between`.  Note that arccos resolves
-    angles next to 0 only to about 1.5e-8 (its step below 1.0), so the
-    default ``EPS_ANGLE`` merges exactly the pairs whose clamped dot is 1.
+    The first point of each close group is kept.  The Gram strips of
+    :func:`geometry._gram_strips` select the pairs with cosine near
+    cos(eps), and only those are tested with :func:`geometry.angle_between`.
+    Note that arccos resolves angles next to 0 only to about 1.5e-8 (its
+    step below 1.0), so the default ``EPS_ANGLE`` merges exactly the pairs
+    whose clamped dot is 1.
     """
-    card = pts.shape[0]
     threshold = np.cos(eps) - 1e-12  # margin for the rounding of the Gram entries
-    keep = np.ones(card, dtype=bool)
-    rows = max(1, BLOCK_ENTRIES // max(card, 1))
-    for start in range(0, card, rows):
-        near_i, near_j = np.nonzero(pts[start:start + rows] @ pts[:start + rows].T >= threshold)
-        for i, j in zip((near_i + start).tolist(), near_j.tolist()):
-            if j < i and keep[i] and keep[j] \
-                    and geometry.angle_between(pts[i], pts[j]) < eps:
-                keep[i] = False
+    keep = np.ones(pts.shape[0], dtype=bool)
+    for start, strip in geometry._gram_strips(pts):
+        near_i, near_j = np.nonzero(strip >= threshold)
+        upper = near_i < near_j
+        for i, j in zip((near_i[upper] + start).tolist(), (near_j[upper] + start).tolist()):
+            # rows come in order, so keep[i] is final once row i is reached
+            if keep[i] and keep[j] and geometry.angle_between(pts[i], pts[j]) < eps:
+                keep[j] = False
     return pts[keep]
 
 
@@ -247,11 +251,13 @@ def _candidate_blocks(pts: np.ndarray, seed: int, rows: int):
 def _scored_candidates(code: SphericalCode, seed: int):
     """The first 10 * card * n candidate directions, scored a block at a time.
 
-    Yields ``(dirs, dots, clean)``: ``dots = dirs @ points.T`` and ``clean``
-    marks the rows whose points all lie farther than EPS_UNIT from the
-    separating hyperplane.  Rows whose nearest point is within a factor 2
-    of EPS_UNIT are scored again as ``points @ dir``, so that ``clean`` is
-    what scoring each direction on its own gives.
+    Yields ``(dirs, sides, clean)``: ``sides = dirs @ points.T >= 0`` and
+    ``clean`` marks the rows whose points all lie farther than EPS_UNIT from
+    the separating hyperplane.  Rows whose nearest point is within a factor
+    2 of EPS_UNIT are scored again as ``points @ dir``, so that ``sides``
+    and ``clean`` are what scoring each direction on its own gives.  The
+    distances are taken in place, so that a block allocates one float
+    array of at most BLOCK_ENTRIES entries.
     """
     pts = code.points
     left = 10 * code.card * code.dimension
@@ -260,11 +266,12 @@ def _scored_candidates(code: SphericalCode, seed: int):
         for start in range(0, block.shape[0], rows):
             dirs = block[start:start + rows][:left]
             dots = dirs @ pts.T
-            closest = np.min(np.abs(dots), axis=1)
+            sides = dots >= 0.0
+            closest = np.min(np.abs(dots, out=dots), axis=1)
             for r in np.flatnonzero((closest > EPS_UNIT / 2) & (closest <= 2 * EPS_UNIT)):
-                dots[r] = pts @ dirs[r]
-                closest[r] = np.min(np.abs(dots[r]))
-            yield dirs, dots, closest > EPS_UNIT
+                dot = pts @ dirs[r]
+                sides[r], closest[r] = dot >= 0.0, np.min(np.abs(dot))
+            yield dirs, sides, closest > EPS_UNIT
             left -= dirs.shape[0]
             if left <= 0:
                 return
@@ -286,20 +293,20 @@ def _balanced_splits(code: SphericalCode, seed: int):
         raise DegenerateCode("balanced split needs at least two points")
     pts, card = code.points, code.card
     fallback, seen = None, set()
-    for dirs, dots, clean in _scored_candidates(code, seed):
+    for dirs, sides, clean in _scored_candidates(code, seed):
         need_fallback = not seen and fallback is None
         if need_fallback and not clean.all():
             # the side of a point next to the plane is the one that scoring
             # the direction on its own gives
-            dots[~clean] = [pts @ d for d in dirs[~clean]]
-        plus = np.count_nonzero(dots >= 0.0, axis=1)
+            sides[~clean] = [pts @ d >= 0.0 for d in dirs[~clean]]
+        plus = np.count_nonzero(sides, axis=1)
         counts = np.column_stack([plus, card - plus])  # signs +1, -1
         valid = (card / 2 <= counts) & (counts < card)
         if need_fallback and valid.any():
             r, s = divmod(int(np.argmax(valid)), 2)
             fallback = LineThroughOrigin(dirs[r]), 1 - 2 * s, int(counts[r, s])
         for r in np.flatnonzero(clean & valid.any(axis=1)):
-            side = dots[r] >= 0.0
+            side = sides[r]
             for s, mask in enumerate((side, ~side)):
                 if valid[r, s] and mask.tobytes() not in seen:
                     seen.add(mask.tobytes())

@@ -28,6 +28,35 @@ def test_hamming_distance_basics():
         binary.hamming_distance("01", "011")
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_min_distance_matches_pair_loop(seed):
+    code = random_code(np.random.default_rng(seed), n_max=24, card_max=400)
+    want = min(binary.hamming_distance(a, b)
+               for i, a in enumerate(code.words) for b in code.words[i + 1:])
+    assert type(code.min_distance) is int
+    assert code.min_distance == want
+
+
+def golay_code():
+    """Extended Golay code: the cyclic quadratic-residue code of length 23
+    (spanned by the shifts of the indicator of the squares mod 23) with a
+    parity bit appended."""
+    residues = {i * i % 23 for i in range(1, 23)}
+    gen = sum(1 << r for r in residues)
+    span = {0}
+    for s in range(23):
+        shifted = ((gen << s) | (gen >> (23 - s))) & ((1 << 23) - 1)
+        span |= {w ^ shifted for w in span}
+    words = (format(w, "023b") for w in span)
+    return binary.BinaryCode(w + str(w.count("1") % 2) for w in words)
+
+
+def test_golay_minimum_distance_and_angle():
+    code = golay_code()
+    assert (code.length, code.card, code.min_distance) == (24, 4096, 8)
+    assert abs(binary.embed_binary(code).cos_min_angle - 1 / 3) <= 1e-15
+
+
 def test_min_distance_singleton():
     assert binary.BinaryCode(["0101"]).min_distance == 0
 

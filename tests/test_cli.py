@@ -261,6 +261,16 @@ def test_density_estimates(capsys):
     assert "packing_bound_proj 1.5" in out
 
 
+@pytest.mark.parametrize("n", ["342", "10000"])
+@pytest.mark.parametrize("phi", ["0.5", "1.2"])
+def test_density_overflow_gives_one_error_line(capsys, n, phi):
+    # the sphere area exceeds the float range from n = 342 on
+    rc, out, err = run(capsys, "density", "--n", n, "--phi", phi)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_exits_zero(capsys):
     rc, out, _ = run(capsys, "verify", "--suite", "bounds", "--seed", "42")
     assert rc == 0
@@ -279,3 +289,11 @@ def test_atlas_budget_env_override(capsys, tmp_path, monkeypatch):
                      "--out", str(out_b))
     assert rc == 0
     assert out_a.read_text() == out_b.read_text()
+
+
+def test_atlas_budget_zero_is_rejected(capsys, tmp_path):
+    out = tmp_path / "atlas.txt"
+    rc, stdout, err = run(capsys, "atlas", "--budget", "0", "--out", str(out))
+    assert rc == 1
+    assert stdout == "" and not out.exists()
+    assert err == "error: budget must be positive\n"

@@ -48,6 +48,13 @@ def ref_orthonormal_complement(normal):
     return np.column_stack(basis) if basis else np.zeros((m, 0))
 
 
+def ref_min_angle(pts):
+    g = np.clip(pts @ pts.T, -1.0, 1.0)
+    np.fill_diagonal(g, -np.inf)
+    i, j = np.unravel_index(int(np.argmax(g)), g.shape)
+    return float(np.arccos(g[i, j])), (int(min(i, j)), int(max(i, j)))
+
+
 def ref_merge_close_points(pts, eps=EPS_ANGLE):
     keep = []
     for i in range(pts.shape[0]):
@@ -283,6 +290,41 @@ def test_spoil2_gram_and_xi(seed):
         assert comp == pytest.approx(float(x @ line.direction), abs=1e-15)
 
 
+@pytest.mark.parametrize("card, dim", [(2, 3), (17, 2), (300, 5), (1500, 8), (3000, 4)])
+def test_min_angle_matches_full_gram(card, dim):
+    for seed in range(3):
+        code = random_code(seed, card, dim)
+        angle, pair = geometry.min_angle(code.points)
+        ref_angle, ref_pair = ref_min_angle(code.points)
+        assert pair == ref_pair
+        assert abs(angle - ref_angle) <= 1e-12
+
+
+@pytest.mark.parametrize("name, make", [
+    ("hadamard-16", lambda: hadamard_code(4)),
+    ("parity-8", lambda: cube_code(8, parity=True)),
+    ("parity-12", lambda: cube_code(12, parity=True)),  # 11 strips
+    ("cube-10", lambda: cube_code(10)),  # 3 strips; its Gram entries round unevenly
+])
+def test_min_angle_breaks_ties_like_full_gram(name, make):
+    # many pairs share the minimum angle: the first in row-major order
+    # is returned
+    pts = make().points
+    angle, pair = geometry.min_angle(pts)
+    assert (angle, pair) == ref_min_angle(pts)
+
+
+def test_min_angle_memory_is_a_few_strips():
+    pts = random_code(0, 8000, 24).points  # a full Gram matrix is 512 MB
+    tracemalloc.start()
+    try:
+        geometry.min_angle(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * geometry.BLOCK_ENTRIES * 8
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_merge_close_points_keeps_first_of_each_group(seed):
     rng = np.random.default_rng(seed)
@@ -394,10 +436,12 @@ def test_down_pipeline_applies_spoil2_once_per_projection(monkeypatch):
 
 
 def test_spoil2_below_peaks_like_one_min_angle_call():
+    # the reference is the clipped full Gram matrix that min_angle built
+    # before it scanned row strips
     code = random_code(2, 800, 8)
     tracemalloc.start()
     try:
-        geometry.min_angle(code.points)
+        np.clip(code.points @ code.points.T, -1.0, 1.0)
         gram_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         spherical._spoil2_below(code, 1.0, np.random.default_rng(0))
