@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import binary, spherical
-from .bounds import ControllingRegions, CutoffRegion, kl_bound, simplex_code
+from . import binary, geometry, spherical
+from .bounds import CutoffRegion, anchor_line1, anchor_line2, kl_bound, simplex_code
 from .errors import DegenerateCode, LambdaOutOfRange, PointOnAxis, SearchBudgetExhausted
 from .spherical import SphericalCode, SphericalCodePoint
 
@@ -160,20 +160,35 @@ def atlas_build(
                 and pt.rate <= kl_bound(phi) + 1e-9:
             atlas.dominated_anchors.append(pt)
 
-    phi_grid = np.linspace(cutoff.phi_c, math.pi / 2, grid_cells)
+    atlas.phi_grid = np.linspace(cutoff.phi_c, math.pi / 2, grid_cells)
+    atlas.envelope = envelope(atlas.dominated_anchors, cutoff, atlas.phi_grid)
+    return atlas
+
+
+def envelope(anchors: list[SphericalCodePoint], cutoff: CutoffRegion,
+             phi_grid: np.ndarray) -> np.ndarray:
+    """Max over anchors of the lower-region roof on an ascending phi grid.
+
+    The roof of an anchor is min(line1, line2) of its controlling regions,
+    clipped to [0, rate_cap]; with no anchor it is 0.  The max is clipped
+    by H(phi) and made non-increasing in phi.  Anchors are taken a block
+    of at most BLOCK_ENTRIES roof values at a time, in two buffers that
+    every block reuses.
+    """
     x = np.cos(phi_grid)
     h = np.array([kl_bound(float(phi)) for phi in phi_grid])
-    best = np.zeros(grid_cells)
-    cap = cutoff.rate_cap
-    for p in atlas.dominated_anchors:
-        reg = ControllingRegions((p.cos_phi, p.rate), cutoff)
-        best = np.maximum(best, np.clip(np.minimum(reg.line1(x), reg.line2(x)), 0.0, cap))
+    best = np.zeros(phi_grid.size)
+    rows = max(1, geometry.BLOCK_ENTRIES // max(1, phi_grid.size))
+    line1, line2 = np.empty((2, min(rows, len(anchors)), phi_grid.size))
+    for start in range(0, len(anchors), rows):
+        ax, ay = np.array([(p.cos_phi, p.rate) for p in anchors[start:start + rows]]).T[:, :, None]
+        k = ax.shape[0]
+        roof = np.minimum(anchor_line1(ax, ay, x, out=line1[:k]),
+                          anchor_line2(ax, ay, cutoff, x, out=line2[:k]), out=line1[:k])
+        best = np.maximum(best, np.clip(roof, 0.0, cutoff.rate_cap, out=roof).max(axis=0))
     # non-increasing in phi: running max from large phi to small; H
     # decreases, so clipping by it again keeps the envelope non-increasing
-    envelope = np.minimum(np.maximum.accumulate(np.minimum(best, h)[::-1])[::-1], h)
-    atlas.phi_grid = phi_grid
-    atlas.envelope = envelope
-    return atlas
+    return np.minimum(np.maximum.accumulate(np.minimum(best, h)[::-1])[::-1], h)
 
 
 def multiplicity_report(

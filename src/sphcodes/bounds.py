@@ -173,6 +173,36 @@ class CutoffRegion:
                 and -eps <= rate <= self.rate_cap + eps)
 
 
+def anchor_line1(ax, ay, x, out=None):
+    """Line through (-1, 0) and the anchor (ax, ay) at abscissa x.
+
+    The arguments may be arrays that broadcast against each other;
+    ``out``, if given, is an array of the broadcast shape to write into.
+    """
+    out = np.multiply(ay, x + 1.0, out=out)
+    out /= ax + 1.0
+    return out
+
+
+def anchor_line2(ax, ay, cutoff: CutoffRegion, x, out=None):
+    """Line through the cutoff corner (cos phi_c, a_c) and the anchor (ax, ay).
+
+    An anchor within 1e-15 of the cutoff edge gives a vertical line: +inf
+    left of it and -inf elsewhere.  The arguments may be arrays that
+    broadcast against each other; ``out``, if given, is an array of the
+    broadcast shape to write into.
+    """
+    cx, cy = cutoff.cos_phi_c, float(cutoff.a_c)
+    vertical = np.abs(cx - ax) < 1e-15
+    out = np.subtract(x, ax, out=out)
+    out *= cy - ay
+    out /= np.where(vertical, 1.0, cx - ax)
+    out += ay
+    if np.any(vertical):
+        out = np.where(vertical, np.where(np.less(x, ax), math.inf, -math.inf), out)
+    return out[()]
+
+
 class ControllingRegions:
     """The four polygonal regions anchored at a point of the cutoff window.
 
@@ -192,17 +222,11 @@ class ControllingRegions:
 
     def line1(self, x: float) -> float:
         """Line through (-1, 0) and the anchor; ``x`` may be an array."""
-        ax, ay = self.anchor
-        return ay * (x + 1.0) / (ax + 1.0)
+        return anchor_line1(*self.anchor, x)
 
     def line2(self, x: float) -> float:
         """Line through the cutoff corner and the anchor; ``x`` may be an array."""
-        ax, ay = self.anchor
-        cx, cy = self.cutoff.cos_phi_c, float(self.cutoff.a_c)
-        if abs(cx - ax) < 1e-15:
-            # anchor on the cutoff edge: treat line2 as vertical
-            return np.where(np.less(x, ax), math.inf, -math.inf)[()]
-        return ay + (cy - ay) * (x - ax) / (cx - ax)
+        return anchor_line2(*self.anchor, self.cutoff, x)
 
     def membership(self, q: tuple[float, float], eps: float = 1e-12) -> str:
         """Classify a window point as 'U', 'D', 'L', 'R' or 'boundary'.

@@ -21,8 +21,11 @@ EPS_UNIT = 1e-12
 EPS_NORM = 1e-9
 # Tolerance for angle comparisons (coarser: arccos loses precision near 0 and pi).
 EPS_ANGLE = 1e-9
-# Gram strips and candidate-score blocks hold at most this many float64 entries.
-BLOCK_ENTRIES = 1 << 18
+# Gram strips, candidate-score blocks and envelope blocks hold at most this
+# many float64 entries: 512 KiB, so that a block, its boolean sides and the
+# points it is scored against fit in a 2 MiB per-core L2 cache between the
+# matrix product and the reductions that read the block back.
+BLOCK_ENTRIES = 1 << 16
 
 
 def as_unit(coords, eps: float = EPS_UNIT) -> np.ndarray:

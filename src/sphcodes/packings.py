@@ -324,11 +324,29 @@ def kissing_configuration(packing: PeriodicPacking, center_index: int = 0,
 # Areas and densities
 # ---------------------------------------------------------------------------
 
+def _in_float_range(name: str, n: int, value) -> float:
+    """``value()``, or an OverflowError that names ``name`` and ``n`` when a
+    term of it leaves the float range, whether that raises or gives inf.
+
+    The result itself may fit: the sphere area tends to 0, but Gamma(n/2 + 1)
+    overflows from n = 342 on.
+    """
+    try:
+        out = value()
+    except OverflowError:
+        out = math.inf
+    if math.isinf(out):
+        raise OverflowError(f"{name}(n={n}) cannot be computed: "
+                            "a term exceeds the float range")
+    return out
+
+
 def sphere_area(n: int) -> float:
     """Surface area of the unit sphere S^{n-1} in R^n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return n * math.pi ** (n / 2) / math.exp(math.lgamma(n / 2 + 1))
+    return _in_float_range("sphere_area", n,
+                           lambda: n * math.pi ** (n / 2) / math.exp(math.lgamma(n / 2 + 1)))
 
 
 def _beta_fraction(a: float, b: float, x: float) -> float:
@@ -395,11 +413,14 @@ def estimate_max_points(n: int, phi: float) -> tuple[float, str]:
         return float(circle_max_points(phi)), "exact-circle"
     if phi > math.pi / 2:
         return rankin_curve(n, phi)[0], "large-angle-bound"
-    return 2.0 ** (n * kl_bound(phi)), "asymptotic-heuristic"
+    return (_in_float_range("estimate_max_points", n, lambda: 2.0 ** (n * kl_bound(phi))),
+            "asymptotic-heuristic")
 
 
 def ball_volume(n: int, radius: float) -> float:
-    return math.pi ** (n / 2) * radius ** n / math.exp(math.lgamma(n / 2 + 1))
+    return _in_float_range(
+        "ball_volume", n,
+        lambda: math.pi ** (n / 2) * radius ** n / math.exp(math.lgamma(n / 2 + 1)))
 
 
 def packing_density(packing: PeriodicPacking) -> float:

@@ -26,7 +26,6 @@ from .errors import (
     SearchBudgetExhausted,
 )
 from .geometry import (
-    BLOCK_ENTRIES,
     EPS_ANGLE,
     EPS_NORM,
     EPS_UNIT,
@@ -167,17 +166,22 @@ def spoil1(code: SphericalCode, hyperplane: Hyperplane) -> SphericalCode:
 def spoil1_lambda(code: SphericalCode, lam: float) -> SphericalCode:
     """Section embedding with rho^2 = lam, so cos phi -> lam*cos phi + 1 - lam.
 
-    lam = 1 is the equatorial embedding; lam = 0 would collapse the whole
-    code to a pole and is rejected.
+    This is :func:`spoil1` on the hyperplane with normal e_{n+1} and offset
+    h = sqrt(1 - lam), written in closed form: the complement of e_{n+1}
+    is [I | 0], so each point x maps to [rho * x, h] with
+    rho = sqrt(1 - h^2), then the rows are normalized.  Adding 0.0 to
+    rho * x turns -0.0 into +0.0 as spoil1's matrix product does, so the
+    two agree bit for bit.  lam = 1 is the equatorial embedding; lam = 0
+    would collapse the whole code to a pole and is rejected.
     """
     if not (0.0 <= lam <= 1.0):
         raise ValueError(f"lambda must be in [0, 1], got {lam}")
     if lam == 0.0:
         raise CollapseError("lambda = 0 maps every point to a single pole")
-    normal = np.zeros(code.dimension + 1)
-    normal[-1] = 1.0
     h = float(np.sqrt(1.0 - lam))
-    return spoil1(code, Hyperplane(normal, h))
+    rho_x = geometry.section_radius(h) * code.points + 0.0
+    new_pts = np.column_stack([rho_x, np.full(code.card, h)])
+    return SphericalCode(new_pts, normalize=True, check_distinct=False)
 
 
 def spoil2(code: SphericalCode, line: LineThroughOrigin) -> tuple[SphericalCode, float]:
@@ -261,7 +265,7 @@ def _scored_candidates(code: SphericalCode, seed: int):
     """
     pts = code.points
     left = 10 * code.card * code.dimension
-    rows = max(1, min(BLOCK_ENTRIES // code.card, left))
+    rows = max(1, min(geometry.BLOCK_ENTRIES // code.card, left))
     for block in _candidate_blocks(pts, seed, rows):
         for start in range(0, block.shape[0], rows):
             dirs = block[start:start + rows][:left]
@@ -389,7 +393,7 @@ def _spoil2_below(
     pts, card = code.points, code.card
     gram = pts @ pts.T
     sq, diag = np.diagonal(gram), np.arange(card)
-    rows = max(1, BLOCK_ENTRIES // (card * card))
+    rows = max(1, geometry.BLOCK_ENTRIES // (card * card))
     block = np.empty((min(rows, dirs.shape[0]), card, card))
     scores = np.full(dirs.shape[0], np.inf)
     for start in range(0, dirs.shape[0], rows):

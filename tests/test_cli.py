@@ -261,14 +261,27 @@ def test_density_estimates(capsys):
     assert "packing_bound_proj 1.5" in out
 
 
-@pytest.mark.parametrize("n", ["342", "10000"])
+# Gamma(n/2 + 1) in the sphere area overflows from n = 342 on, and the
+# cardinality estimate 2^(n H(phi)) from n H(phi) >= 1024 on; cap_area(n, phi)
+# takes sphere_area(n - 1), so n = 1300 and 2000 overflow there at phi = 1.2
+OVERFLOWING = {("342", "0.5"): "sphere_area(n=342)",
+               ("342", "1.2"): "sphere_area(n=342)",
+               ("1300", "0.5"): "estimate_max_points(n=1300)",
+               ("1300", "1.2"): "sphere_area(n=1299)",
+               ("2000", "0.5"): "estimate_max_points(n=2000)",
+               ("2000", "1.2"): "sphere_area(n=1999)",
+               ("10000", "0.5"): "estimate_max_points(n=10000)",
+               ("10000", "1.2"): "estimate_max_points(n=10000)"}
+
+
+@pytest.mark.parametrize("n", ["342", "1300", "2000", "10000"])
 @pytest.mark.parametrize("phi", ["0.5", "1.2"])
 def test_density_overflow_gives_one_error_line(capsys, n, phi):
-    # the sphere area exceeds the float range from n = 342 on
     rc, out, err = run(capsys, "density", "--n", n, "--phi", phi)
     assert rc == 1
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == (f"error: {OVERFLOWING[n, phi]} cannot be computed: "
+                   "a term exceeds the float range\n")
 
 
 def test_verify_exits_zero(capsys):

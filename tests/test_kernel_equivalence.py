@@ -164,15 +164,26 @@ def ref_spoil2_below(code, ceiling, rng):
     return best
 
 
+def ref_lower_boundary(anchor, cutoff, x):
+    """The roof min(line1, line2) of one anchor's region D, clipped to the window."""
+    ax, ay = anchor
+    cx, cy = cutoff.cos_phi_c, float(cutoff.a_c)
+    line1 = ay * (x + 1.0) / (ax + 1.0)
+    if abs(cx - ax) < 1e-15:  # anchor on the cutoff edge: line2 is vertical
+        line2 = math.inf if x < ax else -math.inf
+    else:
+        line2 = ay + (cy - ay) * (x - ax) / (cx - ax)
+    return min(max(min(line1, line2), 0.0), cutoff.rate_cap)
+
+
 def ref_envelope(atlas):
-    regions = [bounds.ControllingRegions((p.cos_phi, p.rate), atlas.cutoff)
-               for p in atlas.dominated_anchors]
+    anchors = [(p.cos_phi, p.rate) for p in atlas.dominated_anchors]
     envelope = np.zeros(atlas.phi_grid.size)
     for j, phi in enumerate(atlas.phi_grid):
         x = math.cos(phi)
         best = 0.0
-        for reg in regions:
-            best = max(best, reg.lower_boundary(x))
+        for anchor in anchors:
+            best = max(best, ref_lower_boundary(anchor, atlas.cutoff, x))
         envelope[j] = min(best, bounds.kl_bound(phi))
     for j in range(envelope.size - 2, -1, -1):
         envelope[j] = max(envelope[j], envelope[j + 1])
@@ -269,6 +280,27 @@ def test_orthonormal_complement_of_an_axis_is_the_other_axes():
                               ref_orthonormal_complement(w))
 
 
+LAMBDA_CODES = {
+    **{f"random-{s}": (lambda s=s: random_code(s, 4 + 9 * s, 1 + 3 * s)) for s in range(4)},
+    "simplex-2": lambda: bounds.simplex_code(2),
+    "simplex-6": lambda: bounds.simplex_code(6),
+    "signed-zeros": lambda: spherical.SphericalCode(np.array(
+        [[-0.0, 1.0, 0.0], [0.0, -0.0, -1.0], [-0.6, -0.0, 0.8], [1.0, -0.0, -0.0]])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAMBDA_CODES))
+def test_spoil1_lambda_is_spoil1_on_the_last_axis(name):
+    code = LAMBDA_CODES[name]()
+    normal = np.zeros(code.dimension + 1)
+    normal[-1] = 1.0
+    for lam in (1.0, 0.9, 0.5, 1 / 3, 1e-3):
+        new = spherical.spoil1_lambda(code, lam)
+        ref = spherical.spoil1(code, geometry.Hyperplane(normal, float(np.sqrt(1.0 - lam))))
+        assert new.points.tobytes() == ref.points.tobytes()  # the signs of zeros too
+        assert spherical.dump_spherical_code(new) == spherical.dump_spherical_code(ref)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_spoil2_gram_and_xi(seed):
     rng = np.random.default_rng(seed)
@@ -303,8 +335,8 @@ def test_min_angle_matches_full_gram(card, dim):
 @pytest.mark.parametrize("name, make", [
     ("hadamard-16", lambda: hadamard_code(4)),
     ("parity-8", lambda: cube_code(8, parity=True)),
-    ("parity-12", lambda: cube_code(12, parity=True)),  # 11 strips
-    ("cube-10", lambda: cube_code(10)),  # 3 strips; its Gram entries round unevenly
+    ("parity-12", lambda: cube_code(12, parity=True)),  # 43 strips
+    ("cube-10", lambda: cube_code(10)),  # 11 strips; its Gram entries round unevenly
 ])
 def test_min_angle_breaks_ties_like_full_gram(name, make):
     # many pairs share the minimum angle: the first in row-major order
@@ -366,6 +398,24 @@ def test_balanced_candidates_match_scalar_search(name):
     ref = ref_balanced_candidates(code, seed=3)
     assert len(new) == len(ref)
     assert all(same_split(a, b) for a, b in zip(new, ref))
+
+
+@pytest.mark.parametrize("name, make", [
+    ("hadamard-16", lambda: hadamard_code(4)),
+    ("cube-10", lambda: cube_code(10)),
+    ("random-128x10", lambda: random_code(7, 128, 10)),
+])
+def test_balanced_splits_do_not_depend_on_block_size(monkeypatch, name, make):
+    # rows are scored on their own and near-plane rows again one by one, so
+    # how the candidates are cut into blocks changes no split
+    code = make()
+    runs = []
+    for entries in (1 << 10, 1 << 16, 1 << 18):
+        monkeypatch.setattr(geometry, "BLOCK_ENTRIES", entries)
+        for seed in (0, 3):
+            runs.append([(line.direction.tobytes(), sign, count)
+                         for line, sign, count in spherical._balanced_splits(code, seed)])
+    assert runs[0] and runs[0:2] == runs[2:4] == runs[4:6]
 
 
 def test_fallback_split_leaves_points_on_the_plane():
@@ -456,6 +506,43 @@ def test_envelope_matches_grid_anchor_loop(seed):
     atlas = atlas_mod.atlas_build(None, bounds.CutoffRegion(0.4), 300, seed=seed)
     assert atlas.dominated_anchors
     assert np.max(np.abs(atlas.envelope - ref_envelope(atlas))) <= 1e-12
+
+
+def placed_anchors(cutoff):
+    cx, cap = cutoff.cos_phi_c, cutoff.rate_cap
+    return [(cx, 0.5 * cap),         # on the cutoff edge: line2 is vertical
+            (cx - 5e-16, 0.2 * cap),  # within 1e-15 of the edge: vertical too
+            (cx, cap),               # the window corner
+            (0.0, cap),
+            (-1e-12, 0.3 * cap),     # the window admits cos phi down to -1e-12
+            (0.5 * cx, 0.25 * cap),
+            (0.9 * cx, 0.05 * cap)]
+
+
+def test_region_lines_match_the_scalar_roof():
+    cutoff = bounds.CutoffRegion(0.4)
+    xs = [0.0, 0.3, 0.5 * cutoff.cos_phi_c, cutoff.cos_phi_c, 0.95]
+    for anchor in placed_anchors(cutoff):
+        reg = bounds.ControllingRegions(anchor, cutoff)
+        for x in xs:
+            assert reg.lower_boundary(x) == ref_lower_boundary(anchor, cutoff, x)
+
+
+@pytest.mark.parametrize("phi_c", [0.4, 0.9])
+def test_envelope_matches_grid_anchor_loop_on_placed_anchors(monkeypatch, phi_c):
+    cutoff = bounds.CutoffRegion(phi_c)
+    placed = placed_anchors(cutoff)
+    grid = np.linspace(phi_c, math.pi / 2, 257)
+    # blocks of two anchors: vertical and slanted line2 share a block, and
+    # the last block fills its buffers only in part
+    monkeypatch.setattr(geometry, "BLOCK_ENTRIES", 2 * grid.size)
+    # no anchor, each anchor alone, and all of them together
+    for subset in [[]] + [[a] for a in placed] + [placed]:
+        anchors = [spherical.SphericalCodePoint(rate=y, cos_phi=x, dimension=2, card=2)
+                   for x, y in subset]
+        atlas = atlas_mod.Atlas(cutoff=cutoff, dominated_anchors=anchors, phi_grid=grid)
+        env = atlas_mod.envelope(anchors, cutoff, grid)
+        assert np.max(np.abs(env - ref_envelope(atlas))) <= 1e-12
 
 
 ENUMERATIONS = {

@@ -240,6 +240,18 @@ def test_sphere_areas_closed_form():
     assert packings.sphere_area(4) == pytest.approx(2 * math.pi ** 2, abs=1e-12)
 
 
+def test_overflow_names_the_quantity_and_dimension():
+    for call, quantity in [(lambda: packings.sphere_area(400), "sphere_area(n=400)"),
+                           (lambda: packings.ball_volume(400, 10.0), "ball_volume(n=400)"),
+                           (lambda: packings.ball_volume(1300, 1.0), "ball_volume(n=1300)"),
+                           (lambda: packings.estimate_max_points(5000, 0.3),
+                            "estimate_max_points(n=5000)")]:
+        with pytest.raises(OverflowError) as info:
+            call()
+        assert str(info.value) == (f"{quantity} cannot be computed: "
+                                   "a term exceeds the float range")
+
+
 def test_cap_area_half_sphere():
     # phi = pi caps of angular radius pi/2 cover half the sphere
     for n in (2, 3, 5):
