@@ -523,10 +523,16 @@ def composite_spoil_down(
 # File format: "dim <n>" then one point per line, '#' comments
 # ---------------------------------------------------------------------------
 
+def format_rows(rows) -> list[str]:
+    """Each row as its coordinates in ``%.17g``, space separated: one
+    %-format call per row, which prints what ``f"{c:.17g}"`` prints."""
+    rows = np.asarray(rows, dtype=float)
+    fmt = " ".join(["%.17g"] * rows.shape[1])
+    return [fmt % tuple(row) for row in rows.tolist()]
+
+
 def dump_spherical_code(code: SphericalCode) -> str:
-    lines = [f"dim {code.dimension}"]
-    for p in code.points:
-        lines.append(" ".join(f"{c:.17g}" for c in p))
+    lines = [f"dim {code.dimension}"] + format_rows(code.points)
     return "\n".join(lines) + "\n"
 
 

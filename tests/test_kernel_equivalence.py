@@ -11,6 +11,8 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -223,6 +225,32 @@ def ref_enumerate_quadratic(gram, center, bound, budget=10_000_000, nodes=None):
     yield from rec(n - 1, bound, 0.0)
     if nodes is not None:
         nodes.append(visited)
+
+
+def ref_theta(lattice, translates, m_max):
+    """Theta entries counted one yielded point at a time."""
+    counts = Counter()
+    for tj, tk in itertools.product(translates, repeat=2):
+        shift = lattice.coords_of(tj - tk)
+        counts.update(round(q, packings.NORM_BUCKET_DECIMALS) for _z, q in
+                      packings.enumerate_quadratic(lattice.gram, shift, m_max + 1e-9))
+    ell = len(translates)
+    return tuple((key, cnt if ell == 1 else Fraction(cnt, ell))
+                 for key, cnt in sorted(counts.items()))
+
+
+def ref_centers_at_distance(packing, x0, u):
+    """Shell centers from the rows that the point view yields."""
+    lat = packing.lattice
+    found = []
+    for t in packing.translate_vectors:
+        shift = lat.coords_of(t - x0)
+        rows = [z for z, _q in packings.enumerate_quadratic(
+            lat.gram, shift, (u + packings.SHELL_TOL) ** 2)]
+        centers = (np.reshape(rows, (-1, lat.dimension)) + shift) @ lat.basis
+        d = np.sqrt(np.vecdot(centers, centers))
+        found.append(centers[np.abs(d - u) <= packings.SHELL_TOL])
+    return np.concatenate(found)
 
 
 # -- codes --------------------------------------------------------------------
@@ -571,3 +599,66 @@ def test_enumeration_budget_is_the_node_count(name):
     list(packings.enumerate_quadratic(gram, center, bound, budget=nodes[0]))
     with pytest.raises(BudgetExceeded):
         list(packings.enumerate_quadratic(gram, center, bound, budget=nodes[0] - 1))
+    list(packings._quadratic_blocks(gram, center, bound, budget=nodes[0]))
+    with pytest.raises(BudgetExceeded):
+        list(packings._quadratic_blocks(gram, center, bound, budget=nodes[0] - 1))
+
+
+# (lattice, translates, m_max): the ENUMERATIONS cases as theta queries, E8 to
+# norm 12, and Z^2 with two translates, whose counts are Fractions
+THETA_CASES = {
+    "E8": lambda: (packings.e8_lattice(), [np.zeros(8)], 8.0),
+    "D4": lambda: (packings.checkerboard_lattice(4), [np.zeros(4)], 8.0),
+    "A2": lambda: (packings.hexagonal_lattice(), [np.zeros(2)], 7.0),
+    "Z3-centered": lambda: (packings.integer_lattice(3),
+                            [np.zeros(3), np.random.default_rng(4).standard_normal(3)], 9.0),
+    "E8-12": lambda: (packings.e8_lattice(), [np.zeros(8)], 12.0),
+    "Z2-two-translates": lambda: (packings.integer_lattice(2),
+                                  [np.zeros(2), np.array([0.5, 0.5])], 6.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(THETA_CASES))
+def test_block_counts_match_the_point_view(name):
+    lattice, translates, m_max = THETA_CASES[name]()
+    theta = packings._theta(lattice, translates, m_max, packings.DEFAULT_POINT_BUDGET)
+    assert repr(theta.entries) == repr(ref_theta(lattice, translates, m_max))
+    packing = packings.touching_packing(lattice, translates)
+    x0 = translates[-1]
+    # the kissing shell, a wide shell, and an empty one
+    for u in (2 * packing.radius, math.sqrt(m_max), 0.25 * packing.radius):
+        got = packings._centers_at_distance(packing, x0, u)
+        ref = ref_centers_at_distance(packing, x0, u)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("name", ["E8", "D4", "A2", "E8-12"])
+def test_theta_budget_is_the_node_count(name):
+    lattice, _translates, m_max = THETA_CASES[name]()
+    nodes = []
+    list(ref_enumerate_quadratic(lattice.gram, np.zeros(lattice.dimension), m_max + 1e-9,
+                                 nodes=nodes))
+    packings.theta_lattice(lattice, m_max, budget=nodes[0])
+    with pytest.raises(BudgetExceeded):
+        packings.theta_lattice(lattice, m_max, budget=nodes[0] - 1)
+
+
+def lattice_outputs():
+    """Theta entries, kissing dumps and a shell code with its certificate."""
+    out = [repr(packings.theta_lattice(packings.e8_lattice(), 12.0).entries),
+           repr(packings.theta_lattice(packings.checkerboard_lattice(4), 8.0).entries)]
+    for lattice in (packings.e8_lattice(), packings.hexagonal_lattice()):
+        code = packings.kissing_configuration(packings.touching_packing(lattice))
+        out.append(spherical.dump_spherical_code(code))
+    code, cert = packings.shell_code(packings.touching_packing(packings.integer_lattice(2)),
+                                     np.zeros(2), math.sqrt(2))
+    out += [spherical.dump_spherical_code(code), repr(cert)]
+    return out
+
+
+def test_lattice_outputs_do_not_depend_on_block_size(monkeypatch):
+    runs = []
+    for coords in (1 << 8, 1 << 12, 1 << 16):
+        monkeypatch.setattr(packings, "BLOCK_COORDS", coords)
+        runs.append(lattice_outputs())
+    assert runs[0] == runs[1] == runs[2]

@@ -114,6 +114,18 @@ def test_theta_d4_is_24_sigma_of_odd_part():
         assert theta.count(2 * m) == 24 * sum(divisors(odd))
 
 
+def test_theta_count_sums_every_bucket_within_tol():
+    # equal norms on a skewed basis can round into neighbouring buckets
+    theta = packings.ThetaCoefficients(((2.0, 240), (4.0, 1956), (4.000000001, 204),
+                                        (4.000000002, 7)))
+    assert theta.count(4) == 2160
+    assert theta.count(4.000000001) == 2167
+    assert theta.count(2) == 240
+    assert theta.count(3) == 0
+    halves = packings.ThetaCoefficients(((0.5, Fraction(7, 2)), (0.500000001, Fraction(1, 2))))
+    assert halves.count(0.5) == Fraction(4)
+
+
 def test_theta_e8_memory_stays_bounded():
     e8 = packings.e8_lattice()
     tracemalloc.start()
@@ -366,6 +378,16 @@ def test_packing_file_roundtrip():
     assert np.allclose(back.lattice.basis, packing.lattice.basis, atol=0)
     assert back.radius == packing.radius
     assert np.allclose(back.translate_vectors, packing.translate_vectors)
+
+
+def test_packing_dump_prints_what_the_per_coordinate_formatter_prints():
+    basis = np.array([[1.0, -0.0, 5e-324], [1e-300, 1.0, 0.0], [0.1, 0.2, 3.0]])
+    translates = ((0.0, 0.0, 0.0), (-0.0, 0.5, 1e-310), (1 / 3, 2 / 3, 0.25))
+    packing = packings.PeriodicPacking(packings.Lattice(basis), translates, radius=0.01)
+    lines = ["dim 3"] + [" ".join(f"{c:.17g}" for c in row) for row in basis]
+    lines += ["translates 3"] + [" ".join(f"{c:.17g}" for c in t) for t in translates]
+    lines += ["radius 0.01"]
+    assert packings.dump_packing(packing) == "\n".join(lines) + "\n"
 
 
 def test_load_packing_default_radius_touches():

@@ -345,6 +345,27 @@ def test_file_roundtrip_17_digits():
     assert np.array_equal(back.points, code.points)
 
 
+def fstring_dump(points):
+    """The per-coordinate f-string formatter that dump_spherical_code replaced."""
+    lines = [f"dim {points.shape[1]}"]
+    lines += [" ".join(f"{c:.17g}" for c in p) for p in points]
+    return "\n".join(lines) + "\n"
+
+
+def test_dump_prints_what_the_per_coordinate_formatter_prints():
+    tiny = 5e-324  # the smallest subnormal
+    special = np.array([[1.0, -0.0, tiny, 0.0],
+                        [-0.0, 1.0, -tiny, 1e-300],
+                        [math.sqrt(0.5), -math.sqrt(0.5), -1e-300, 2.2250738585072014e-308],
+                        [-1.0, 0.0, -0.0, 1e-310]])
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((300, 7)) * 10.0 ** rng.integers(-20, 20, (300, 7))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    for points in (special, x):
+        code = spherical.SphericalCode(points, check_distinct=False)
+        assert spherical.dump_spherical_code(code) == fstring_dump(code.points)
+
+
 def test_load_normalize_flag():
     text = "dim 2\n3 4\n-1 0\n"
     with pytest.raises(InputFormatError):
