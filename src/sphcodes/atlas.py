@@ -11,14 +11,13 @@ clipped by H(phi) and post-processed to be non-increasing in phi.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import binary, geometry, spherical
 from .bounds import CutoffRegion, anchor_line1, anchor_line2, kl_bound, simplex_code
-from .errors import DegenerateCode, LambdaOutOfRange, PointOnAxis, SearchBudgetExhausted
+from .errors import DegenerateCode, PointOnAxis, SearchBudgetExhausted
 from .spherical import SphericalCode, SphericalCodePoint
 
 # growth caps: spoiled codes beyond these sizes are recorded but not re-spoiled
@@ -37,10 +36,13 @@ class Atlas:
     envelope: np.ndarray = field(default_factory=lambda: np.array([]))
 
     def alpha(self, phi: float) -> float:
-        """Envelope estimate at an angle, by nearest grid cell."""
+        """Envelope estimate at an angle: the value of the first grid cell at
+        or above phi (the last cell beyond the grid).  The envelope is
+        non-increasing and clipped by the decreasing H, so this is <= H(phi).
+        """
         if self.phi_grid.size == 0:
             raise ValueError("atlas has no envelope yet")
-        idx = int(np.argmin(np.abs(self.phi_grid - phi)))
+        idx = min(int(np.searchsorted(self.phi_grid, phi)), self.phi_grid.size - 1)
         return float(self.envelope[idx])
 
 
@@ -75,35 +77,30 @@ def _all_words(n: int):
 
 
 def _spoil_once(code: SphericalCode, rng: np.random.Generator) -> SphericalCode | None:
-    """Apply one randomly chosen spoiling operation; None on failure."""
+    """Apply one randomly chosen spoiling operation; None when its domain
+    rules it out.  Any other error propagates."""
     ops = ["up", "lambda", "hemisphere", "project"]
     op = ops[int(rng.integers(len(ops)))]
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            if op == "up":
-                return spherical.composite_spoil_up(code)
-            if op == "lambda":
-                lam = float(rng.uniform(0.5, 1.0))
-                return spherical.spoil1_lambda(code, lam)
-            if op == "hemisphere":
-                if code.card < 3:
-                    return None
-                line, sign, _ = spherical.find_balanced_line(
-                    code, seed=int(rng.integers(2 ** 31))
-                )
-                return spherical.spoil3(code, line, sign)
-            if op == "project":
-                if code.dimension < 3:
-                    return None
-                v = rng.standard_normal(code.dimension)
-                line = spherical.LineThroughOrigin(v / np.linalg.norm(v))
-                out, _ = spherical.spoil2(code, line)
-                return out if out.card >= 2 else None
-    except (DegenerateCode, PointOnAxis, LambdaOutOfRange, SearchBudgetExhausted,
-            ValueError):
+        if op == "up":
+            return spherical.composite_spoil_up(code)
+        if op == "lambda":
+            lam = float(rng.uniform(0.5, 1.0))
+            return spherical.spoil1_lambda(code, lam)
+        if op == "hemisphere":
+            if code.card < 3:
+                return None
+            line, sign, _ = spherical.find_balanced_line(
+                code, seed=int(rng.integers(2 ** 31))
+            )
+            return spherical.spoil3(code, line, sign)
+        if code.dimension < 3:  # "project"
+            return None
+        v = rng.standard_normal(code.dimension)
+        line = spherical.LineThroughOrigin(v / np.linalg.norm(v))
+        return spherical.spoil2(code, line)[0]
+    except (DegenerateCode, PointOnAxis, SearchBudgetExhausted):
         return None
-    return None
 
 
 def atlas_build(
@@ -138,11 +135,14 @@ def atlas_build(
 
     ops_done = 0
     idx = 0
-    while ops_done < budget and worklist:
+    skipped = 0  # codes skipped in a row; a whole pass of them changes nothing
+    while ops_done < budget and skipped < len(worklist):
         code = worklist[idx % len(worklist)]
         idx += 1
         if code.dimension > MAX_DIMENSION or code.card > MAX_CARD:
+            skipped += 1
             continue
+        skipped = 0
         out = _spoil_once(code, rng)
         ops_done += 1
         if out is None or out.card < 2:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import geometry
 from .errors import DegenerateAnchor, DimensionMismatch, InputFormatError
-from .spherical import SphericalCode
+from .spherical import SphericalCode, text_lines
 
 
 def hamming_distance(a: str, b: str) -> int:
@@ -293,20 +293,13 @@ def dump_binary_code(code: BinaryCode) -> str:
 
 def load_binary_code(text: str) -> BinaryCode:
     words = []
-    length = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if any(c not in "01" for c in line):
-            raise InputFormatError(f"word {line!r} has characters outside 0/1", lineno)
-        if length is None:
-            length = len(line)
-        elif len(line) != length:
-            raise InputFormatError(
-                f"word length {len(line)} differs from {length}", lineno
-            )
-        words.append(line)
+    for lineno, parts in text_lines(text):
+        word = " ".join(parts)
+        if any(c not in "01" for c in word):
+            raise InputFormatError(f"word {word!r} has characters outside 0/1", lineno)
+        if words and len(word) != len(words[0]):
+            raise InputFormatError(f"word length {len(word)} differs from {len(words[0])}", lineno)
+        words.append(word)
     if not words:
         raise InputFormatError("no words found")
     return BinaryCode(words)

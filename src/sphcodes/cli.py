@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import atlas as atlas_mod
-from . import binary, bounds, emit, geometry, packings, spherical
+from . import binary, bounds, emit, geometry, packings, spherical, verify
 from .errors import SphCodesError
 
 BUDGET_ENV = "SPHCODES_BUDGET"
@@ -207,7 +207,6 @@ def cmd_density(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import verify
     suites = {
         "spoiling": verify.verify_spoiling,
         "bounds": verify.verify_bounds,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bounds import circle_max_points, kl_bound, rankin_curve
 from .errors import BudgetExceeded, CertificateError, DimensionMismatch, InputFormatError
-from .spherical import SphericalCode, format_rows
+from .spherical import SphericalCode, format_rows, keyword_value, number_rows, read_dim
 
 NORM_BUCKET_DECIMALS = 9   # norms bucketed to 1e-9
 SHELL_TOL = 1e-9
@@ -344,10 +344,8 @@ def kissing_configuration(packing: PeriodicPacking, center_index: int = 0,
     if not (0 <= center_index < len(ts)):
         raise ValueError("center index out of range")
     x0 = ts[center_index]
-    code, cert = shell_code(packing, x0, 2.0 * packing.radius, budget)
-    if code.min_angle < math.pi / 3 - 1e-9:
-        raise CertificateError("kissing configuration below the pi/3 guarantee")
-    return code
+    # shell_code certifies 2 asin(r / 2r) = pi/3 with the same 1e-9 slack
+    return shell_code(packing, x0, 2.0 * packing.radius, budget)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -567,50 +565,28 @@ def dump_packing(packing: PeriodicPacking) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _header_value(parts: list[str], kind, ok, lineno: int):
-    """The value of a '<keyword> <value>' line, parsed as ``kind``."""
-    try:
-        (value,) = parts[1:]
-        value = kind(value)
-    except ValueError:
-        value = None
-    if value is None or not ok(value):
-        raise InputFormatError(f"bad '{parts[0]}' line", lineno)
-    return value
-
-
 def load_packing(text: str, default_radius: float | None = None) -> PeriodicPacking:
     """Parse "dim n", n basis rows, optional translates and radius sections.
 
     Without a radius (here or as ``default_radius``) the spheres touch.
     """
-    dim = None
-    rows: list[list[float]] = []
-    radius = default_radius
-    expect_translates = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split("#", 1)[0].split()
-        if not parts:
-            continue
-        if dim is None:
-            if parts[0] != "dim":
-                raise InputFormatError("expected 'dim <n>' header", lineno)
-            dim = _header_value(parts, int, lambda v: v >= 1, lineno)
-        elif parts[0] == "translates":
-            expect_translates = _header_value(parts, int, lambda v: v >= 0, lineno)
-        elif parts[0] == "radius":
-            radius = _header_value(parts, float, lambda v: 0 < v < math.inf, lineno)
-        else:
-            try:
-                rows.append([float(t) for t in parts])
-            except ValueError:
-                raise InputFormatError("malformed number", lineno) from None
-            if len(rows[-1]) != dim:
-                raise InputFormatError(f"expected {dim} entries", lineno)
-            if len(rows) > dim + expect_translates:
-                raise InputFormatError("unexpected extra row", lineno)
-    if dim is None or len(rows) < dim:
-        raise InputFormatError("incomplete basis")
-    if len(rows) != dim + expect_translates:
-        raise InputFormatError("missing translate rows")
-    return PeriodicPacking(Lattice(np.asarray(rows[:dim])), tuple(rows[dim:]), radius)
+    dim, lines = read_dim(text, "incomplete basis")
+    rows, radius, translates, error = [], default_radius, 0, None
+    try:
+        for lineno, parts in lines:
+            if parts[0] == "translates":
+                translates = keyword_value(parts, lineno, int, lambda v: v >= 0)
+            elif parts[0] == "radius":
+                radius = keyword_value(parts, lineno, float, lambda v: 0 < v < math.inf)
+            else:
+                rows.append((lineno, parts))
+                if len(rows) > dim + translates:
+                    raise InputFormatError("unexpected extra row", lineno)
+    except InputFormatError as exc:
+        error = exc
+    pts, bad_row = number_rows(rows, dim)
+    if bad_row or error:  # every row precedes the error's line, so a bad row comes first
+        raise bad_row or error
+    if len(rows) != dim + translates:
+        raise InputFormatError("incomplete basis" if len(rows) < dim else "missing translate rows")
+    return PeriodicPacking(Lattice(pts[:dim]), tuple(pts[dim:].tolist()), radius)

@@ -70,10 +70,11 @@ class SphericalCode:
         elif np.any(np.abs(norms - 1.0) > EPS_NORM):
             worst = float(np.max(np.abs(norms - 1.0)))
             raise ValueError(f"points are not unit vectors (max norm error {worst:.3e})")
-        if check_distinct and merge_close_points(pts).shape[0] < pts.shape[0]:
-            raise ValueError("points are not pairwise distinct beyond EPS_ANGLE")
         self._points = pts
         self._points.setflags(write=False)
+        # the cached minimum angle, so that a later min_angle costs no scan
+        if check_distinct and self.card >= 2 and self.min_angle < EPS_ANGLE:
+            raise ValueError("points are not pairwise distinct beyond EPS_ANGLE")
 
     @property
     def points(self) -> np.ndarray:
@@ -360,8 +361,10 @@ def _generic_projection_line(
 
     Bisectors of point pairs push the minimum-angle cosine down (the two
     points project to nearly antipodal rays); random directions keep it
-    roughly unchanged.  All candidates whose residual |x|^2 - <x, d>^2
-    exceeds EPS_UNIT at every point are returned, bisectors first.
+    roughly unchanged.  The normalized centroid comes last: projecting m
+    orthonormal points off it leaves a regular simplex, cos phi = -1/(m-1).
+    All candidates whose residual |x|^2 - <x, d>^2 exceeds EPS_UNIT at every
+    point are returned, in that order.
     """
     first = code.min_angle_pair
     rest = (p for p in itertools.combinations(range(code.card), 2) if p != first)
@@ -370,7 +373,10 @@ def _generic_projection_line(
     nrm = np.sqrt(np.vecdot(mids, mids))
     mids = mids[nrm > EPS_UNIT] / nrm[nrm > EPS_UNIT, None]
     draws = rng.standard_normal((trials - mids.shape[0], code.dimension))
-    dirs = np.vstack([mids, draws / np.sqrt(np.vecdot(draws, draws))[:, None]])
+    centroid = code.points.mean(axis=0, keepdims=True)
+    nrm = np.sqrt(np.vecdot(centroid, centroid))
+    dirs = np.vstack([mids, draws / np.sqrt(np.vecdot(draws, draws))[:, None],
+                      centroid[nrm > EPS_UNIT] / nrm[nrm > EPS_UNIT, None]])
     comps = dirs @ code.points.T
     sq = np.vecdot(code.points, code.points)
     return dirs[np.min(sq - comps * comps, axis=1) > EPS_UNIT]
@@ -520,7 +526,8 @@ def composite_spoil_down(
 
 
 # ---------------------------------------------------------------------------
-# File format: "dim <n>" then one point per line, '#' comments
+# Text files: one reader for codes, packings and binary words.  '#' starts a
+# comment, blank lines are skipped, and every error names its line.
 # ---------------------------------------------------------------------------
 
 def format_rows(rows) -> list[str]:
@@ -531,43 +538,74 @@ def format_rows(rows) -> list[str]:
     return [fmt % tuple(row) for row in rows.tolist()]
 
 
+def text_lines(text: str):
+    """``(line number, tokens)`` of every line holding more than a comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if parts:
+            yield lineno, parts
+
+
+def keyword_value(parts: list[str], lineno: int, kind, ok):
+    """The value of a '<keyword> <value>' line, parsed as ``kind``."""
+    try:
+        (value,) = parts[1:]
+        value = kind(value)
+    except ValueError:
+        value = None
+    if value is None or not ok(value):
+        raise InputFormatError(f"bad '{parts[0]}' line", lineno)
+    return value
+
+
+def read_dim(text: str, empty: str):
+    """``(n, lines)``: the n >= 1 of the 'dim <n>' line that must open
+    ``text``, and its :func:`text_lines` after it.  A text without content
+    raises InputFormatError(``empty``)."""
+    lines = text_lines(text)
+    for lineno, parts in lines:
+        if parts[0] != "dim":
+            raise InputFormatError("expected 'dim <n>' header", lineno)
+        return keyword_value(parts, lineno, int, lambda v: v >= 1), lines
+    raise InputFormatError(empty)
+
+
+def number_rows(rows, width: int) -> tuple[np.ndarray, InputFormatError | None]:
+    """The leading ``(line number, tokens)`` rows of ``width`` numbers each,
+    as one float array, and the error of the row after them (None if there
+    is none).  The rows are tried one by one only when the array fails."""
+    try:
+        return np.array([p for _, p in rows], dtype=float).reshape(len(rows), width), None
+    except ValueError:  # a token that is no number, or a row of another length
+        pass
+    for i, (lineno, parts) in enumerate(rows):
+        try:
+            np.array(parts, dtype=float)
+        except ValueError:
+            return number_rows(rows[:i], width)[0], InputFormatError("malformed number", lineno)
+        if len(parts) != width:
+            error = InputFormatError(f"expected {width} numbers, got {len(parts)}", lineno)
+            return number_rows(rows[:i], width)[0], error
+
+
 def dump_spherical_code(code: SphericalCode) -> str:
     lines = [f"dim {code.dimension}"] + format_rows(code.points)
     return "\n".join(lines) + "\n"
 
 
 def load_spherical_code(text: str, *, normalize: bool = False) -> SphericalCode:
-    dim = None
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if dim is None:
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != "dim":
-                raise InputFormatError("expected 'dim <n>' header", lineno)
-            try:
-                dim = int(parts[1])
-            except ValueError:
-                raise InputFormatError(f"bad dimension {parts[1]!r}", lineno) from None
-            if dim < 1:
-                raise InputFormatError("dimension must be >= 1", lineno)
-            continue
-        try:
-            coords = [float(t) for t in line.split()]
-        except ValueError:
-            raise InputFormatError("malformed coordinate", lineno) from None
-        if len(coords) != dim:
-            raise InputFormatError(
-                f"expected {dim} coordinates, got {len(coords)}", lineno
-            )
-        nrm = math.hypot(*coords)
-        if not normalize and abs(nrm - 1.0) > EPS_NORM:
-            raise InputFormatError(
-                f"point norm {nrm!r} not within {EPS_NORM} of 1 (use normalize)", lineno
-            )
-        rows.append(coords)
-    if dim is None or not rows:
-        raise InputFormatError("no points found")
-    return SphericalCode(np.asarray(rows), normalize=normalize)
+    """Parse "dim n", then one point per line, each within EPS_NORM of unit
+    norm unless ``normalize``.  The first bad line is the one reported."""
+    dim, lines = read_dim(text, "no points found")
+    rows = list(lines)
+    pts, error = number_rows(rows, dim)
+    if not normalize:
+        with np.errstate(over="ignore"):  # a norm beyond the float range is inf
+            bad = np.flatnonzero(np.abs(np.hypot.reduce(pts, axis=1, initial=0.0) - 1) > EPS_NORM)
+        if bad.size:
+            nrm = math.hypot(*pts[bad[0]])  # printed exactly, not as the reduction rounds it
+            raise InputFormatError(f"point norm {nrm!r} not within {EPS_NORM} of 1 "
+                                   "(use normalize)", rows[bad[0]][0])
+    if error or not rows:
+        raise error or InputFormatError("no points found")
+    return SphericalCode(pts, normalize=normalize)

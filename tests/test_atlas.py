@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +52,40 @@ def test_envelope_invariants():
         assert r >= 0.0
     # zero at the right angle
     assert atlas.alpha(math.pi / 2) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_alpha_is_never_above_h():
+    atlas = small_build(budget=50)
+    probe = np.linspace(0.4, math.pi / 2, 20_001)
+    below_cells = np.nextafter(atlas.phi_grid, -math.inf)
+    for phi in np.concatenate([probe, atlas.phi_grid, below_cells]).tolist():
+        assert atlas.alpha(phi) <= bounds.kl_bound(min(phi, math.pi / 2))
+    assert atlas.alpha(math.pi / 2) == 0.0
+
+
+def test_build_ends_when_every_code_is_over_the_caps():
+    # the build runs in a child process, so that a timeout stops it if it
+    # walks a worklist of capped codes forever
+    script = (
+        "import numpy as np\n"
+        "from sphcodes import atlas, bounds, spherical\n"
+        "x = np.random.default_rng(0).standard_normal((600, 3))\n"
+        "code = spherical.SphericalCode(x, normalize=True)\n"
+        "a = atlas.atlas_build([code], bounds.CutoffRegion(0.4), 10)\n"
+        "print([p.provenance for p in a.observed])\n"
+    )
+    src = Path(atlas_mod.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", script], cwd=src, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out == "['seed[0]']\n"
+
+
+def test_unexpected_errors_leave_the_build(monkeypatch):
+    def broken(code):
+        raise ValueError("not a domain error")
+    monkeypatch.setattr(spherical, "composite_spoil_up", broken)
+    with pytest.raises(ValueError, match="not a domain error"):
+        small_build(budget=50)
 
 
 def test_point_just_past_right_angle_is_not_an_anchor():

@@ -174,11 +174,15 @@ def test_file_roundtrip():
     code = binary.BinaryCode(["0101", "1010", "1111"])
     text = binary.dump_binary_code(code)
     assert binary.load_binary_code("# header\n" + text) == code
+    noisy = "\n \t\n".join(w + " # c" for w in text.splitlines())
+    assert binary.load_binary_code("# header\n\n" + noisy + "\n#") == code
 
 
 def test_load_rejects_ragged_words():
     with pytest.raises(InputFormatError):
         binary.load_binary_code("01\n011\n")
+    with pytest.raises(InputFormatError, match="^line 5: "):
+        binary.load_binary_code("01\n# c\n10 # c\n\n011\n")
 
 
 def test_load_rejects_non_binary():

@@ -140,6 +140,9 @@ def ref_generic_projection_line(code, rng, trials=64):
              for m in mids if np.linalg.norm(m) > EPS_UNIT]
     draws = rng.standard_normal((trials - len(cands), code.dimension))
     cands += [LineThroughOrigin(v / np.linalg.norm(v)) for v in draws]
+    centroid = code.points.mean(axis=0)
+    if np.linalg.norm(centroid) > EPS_UNIT:
+        cands.append(LineThroughOrigin(centroid / np.linalg.norm(centroid)))
     return [line for line in cands
             if np.min(1.0 - (code.points @ line.direction) ** 2) > EPS_UNIT]
 

@@ -378,6 +378,11 @@ def test_packing_file_roundtrip():
     assert np.allclose(back.lattice.basis, packing.lattice.basis, atol=0)
     assert back.radius == packing.radius
     assert np.allclose(back.translate_vectors, packing.translate_vectors)
+    # comment-only, blank and trailing-comment lines change nothing
+    noisy = "# a packing\n\n" + "\n \t\n".join(r + " # c" for r in text.splitlines())
+    again = packings.load_packing(noisy + "\n#")
+    assert np.array_equal(again.lattice.basis, back.lattice.basis)
+    assert (again.translates, again.radius) == (back.translates, back.radius)
 
 
 def test_packing_dump_prints_what_the_per_coordinate_formatter_prints():
@@ -399,6 +404,16 @@ def test_load_packing_default_radius_touches():
 def test_load_packing_bad_header():
     with pytest.raises(InputFormatError):
         packings.load_packing("1 0\n0 1\n")
+    # a malformed number, a ragged row, an extra row or a bad keyword line
+    # names its line, and of several bad lines the first is reported
+    for text, k in [("dim 2\n# c\n1 0\n\n0 x\n", 5),
+                    ("dim 2\n1 0\n0 1 0 # c\nradius x\n", 3),
+                    ("dim 2\n1 0\n0 1\n0.5 0.5\ntranslates 1\n", 4),
+                    ("dim 2\n1 0\nradius -1\n0 x\n", 3),
+                    ("dim 2\n1 0\n0 x\nradius -1\n", 3),
+                    ("dim 2\n1 0\n0 1\n0.5 x\n", 4)]:
+        with pytest.raises(InputFormatError, match=f"^line {k}: "):
+            packings.load_packing(text)
 
 
 @pytest.mark.parametrize("text", [

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphcodes import binary, spherical
+from sphcodes import atlas, binary, geometry, spherical
 from sphcodes.errors import (
     CollapseError,
     DegenerateCode,
@@ -322,6 +322,28 @@ def test_composite_down_matches_template():
     assert out.cos_min_angle == pytest.approx(target, abs=1e-6)
 
 
+@pytest.mark.parametrize("m, n", [(3, 3), (5, 9), (16, 16)])
+def test_centroid_line_projects_orthonormal_points_to_a_simplex(m, n):
+    q, _ = np.linalg.qr(np.random.default_rng(m).standard_normal((n, m)))
+    code = spherical.SphericalCode(q.T)
+    dirs = spherical._generic_projection_line(code, np.random.default_rng(0))
+    centroid = q.T.mean(axis=0)
+    assert np.array_equal(dirs[-1], centroid / np.linalg.norm(centroid))
+    out, _ = spherical.spoil2(code, LineThroughOrigin(dirs[-1]))
+    gram = out.points @ out.points.T
+    off = gram[~np.eye(m, dtype=bool)]
+    assert np.max(np.abs(off + 1.0 / (m - 1))) < 1e-12
+
+
+@pytest.mark.parametrize("order", [5, 6])
+def test_composite_down_reaches_its_target_on_hadamard_32_and_64(order):
+    code = binary.embed_binary(atlas.sylvester_hadamard_code(order))
+    n = code.dimension
+    out = spherical.composite_spoil_down(code, 0.3)
+    assert (out.dimension, out.card) == (n - 1, n // 4)
+    assert out.cos_min_angle == pytest.approx(-math.cos(0.3) / (n - 1), abs=1e-12)
+
+
 def test_composite_down_reports_violated_precondition():
     # cube-corner code with phi = pi/3, well below the requested cutoff
     code = binary.embed_binary(binary.BinaryCode(["0000", "0001", "0011"]))
@@ -343,6 +365,10 @@ def test_file_roundtrip_17_digits():
     text = spherical.dump_spherical_code(code)
     back = spherical.load_spherical_code(text)
     assert np.array_equal(back.points, code.points)
+    # comment-only, blank and trailing-comment lines change nothing
+    head, *rows = text.splitlines()
+    noisy = "# a code\n\n" + head + "  # header\n" + "\n \t\n".join(r + " # pt" for r in rows)
+    assert np.array_equal(spherical.load_spherical_code(noisy + "\n#").points, code.points)
 
 
 def fstring_dump(points):
@@ -377,6 +403,27 @@ def test_load_normalize_flag():
 def test_load_rejects_bad_header():
     with pytest.raises(InputFormatError):
         spherical.load_spherical_code("2\n1 0\n")
+    # a bad norm, a malformed number and a ragged row name their line, and
+    # of several bad lines the first is reported
+    for text, k in [("dim 2\n# c\n1 0\n\n3 4\n", 5),
+                    ("dim 2\n1 0\n0 x # c\n3 4\n", 3),
+                    ("dim 2\n1 0\n3 4\n0 x\n", 3),
+                    ("# c\ndim 2 # n\n1 0\n0\n", 4),
+                    ("dim 2\n1 0\n\n3 4\n0 1 0\n", 4),
+                    ("dim 2\n1 0\n0 1 0\n3 4\n", 3)]:
+        with pytest.raises(InputFormatError, match=f"^line {k}: "):
+            spherical.load_spherical_code(text)
+
+
+def test_load_then_min_angle_scans_the_gram_once(monkeypatch):
+    x = np.random.default_rng(3).standard_normal((500, 6))
+    code = spherical.SphericalCode(x, normalize=True, check_distinct=False)
+    text, want = spherical.dump_spherical_code(code), code.min_angle
+    passes = []
+    strips = geometry._gram_strips
+    monkeypatch.setattr(geometry, "_gram_strips", lambda pts: passes.append(1) or strips(pts))
+    assert spherical.load_spherical_code(text).min_angle == want
+    assert len(passes) == 1
 
 
 def test_load_and_spoil2_admit_the_unit_norm_tolerance():
