@@ -72,9 +72,14 @@ class SphericalCode:
             raise ValueError(f"points are not unit vectors (max norm error {worst:.3e})")
         self._points = pts
         self._points.setflags(write=False)
-        # the cached minimum angle, so that a later min_angle costs no scan
-        if check_distinct and self.card >= 2 and self.min_angle < EPS_ANGLE:
-            raise ValueError("points are not pairwise distinct beyond EPS_ANGLE")
+        # the pair of the cached minimum angle, so that a later min_angle
+        # costs no scan; its chord is tested, since arccos cannot resolve an
+        # angle below about 1.5e-8 next to a Gram entry of 1
+        if check_distinct and self.card >= 2:
+            i, j = self.min_angle_pair
+            diff = pts[i] - pts[j]
+            if math.sqrt(diff @ diff) < EPS_ANGLE:
+                raise ValueError("points are not pairwise distinct beyond EPS_ANGLE")
 
     @property
     def points(self) -> np.ndarray:
@@ -233,41 +238,42 @@ def spoil3(code: SphericalCode, line: LineThroughOrigin, sign: int) -> Spherical
     return SphericalCode(code.points[mask], check_distinct=False)
 
 
-def _candidate_blocks(pts: np.ndarray, seed: int, rows: int):
-    """Candidate split directions in blocks: every code point as it is, then
-    the normalized midpoints of the pairs i < j in lexicographic order
-    (skipping those of norm <= EPS_UNIT), then unit directions drawn
-    ``rows`` at a time from ``default_rng(seed)``, as one at a time would.
-    """
-    card, n = pts.shape
-    yield pts
+def _midpoint_blocks(pts: np.ndarray, rows: int):
+    """The normalized midpoints of the pairs i < j in lexicographic order,
+    skipping those of norm <= EPS_UNIT, the pairs of about ``rows // card``
+    first points at a time."""
+    card = pts.shape[0]
     step = max(1, rows // card)  # first points of the pairs in one block
     for i in range(0, card - 1, step):
         ii, jj = np.nonzero(np.arange(card) > np.arange(i, min(i + step, card))[:, None])
         mid = pts[ii + i] + pts[jj]
         nrm = np.sqrt(np.vecdot(mid, mid))
         yield mid[nrm > EPS_UNIT] / nrm[nrm > EPS_UNIT, None]
+
+
+def _random_blocks(n: int, seed: int, rows: int):
+    """Unit directions from ``default_rng(seed)``, as one at a time would
+    draw them, in blocks of 16 rows that double up to ``rows``: the first
+    few directions usually split, so the first blocks are kept small."""
     rng = np.random.default_rng(seed)
+    size = min(16, rows)
     while True:
-        v = rng.standard_normal((rows, n))
+        v = rng.standard_normal((size, n))
         yield v / np.sqrt(np.vecdot(v, v))[:, None]
+        size = min(2 * size, rows)
 
 
-def _scored_candidates(code: SphericalCode, seed: int):
-    """The first 10 * card * n candidate directions, scored a block at a time.
-
-    Yields ``(dirs, sides, clean)``: ``sides = dirs @ points.T >= 0`` and
-    ``clean`` marks the rows whose points all lie farther than EPS_UNIT from
-    the separating hyperplane.  Rows whose nearest point is within a factor
-    2 of EPS_UNIT are scored again as ``points @ dir``, so that ``sides``
-    and ``clean`` are what scoring each direction on its own gives.  The
+def _scored_rows(blocks, pts: np.ndarray, rows: int, left: int):
+    """``(dirs, sides, closest)`` for the first ``left`` rows of ``blocks``,
+    at most ``rows`` at a time: ``sides = dirs @ pts.T >= 0`` and
+    ``closest`` is the distance of each row's nearest point from its
+    separating hyperplane.  Rows whose nearest point is within a factor 2
+    of EPS_UNIT are scored again as ``pts @ dir``, so that ``sides`` and
+    ``closest`` are what scoring each direction on its own gives.  The
     distances are taken in place, so that a block allocates one float
     array of at most BLOCK_ENTRIES entries.
     """
-    pts = code.points
-    left = 10 * code.card * code.dimension
-    rows = max(1, min(geometry.BLOCK_ENTRIES // code.card, left))
-    for block in _candidate_blocks(pts, seed, rows):
+    for block in blocks:
         for start in range(0, block.shape[0], rows):
             dirs = block[start:start + rows][:left]
             dots = dirs @ pts.T
@@ -276,10 +282,44 @@ def _scored_candidates(code: SphericalCode, seed: int):
             for r in np.flatnonzero((closest > EPS_UNIT / 2) & (closest <= 2 * EPS_UNIT)):
                 dot = pts @ dirs[r]
                 sides[r], closest[r] = dot >= 0.0, np.min(np.abs(dot))
-            yield dirs, sides, closest > EPS_UNIT
+            yield dirs, sides, closest
             left -= dirs.shape[0]
             if left <= 0:
                 return
+
+
+def _scored_candidates(code: SphericalCode, seed: int):
+    """The first 10 * card * n candidate directions, scored a block at a time.
+
+    The candidates are every code point as it is, then the normalized pair
+    midpoints of :func:`_midpoint_blocks`, then the random directions of
+    :func:`_random_blocks`, scored as :func:`_scored_rows` scores them.
+
+    The point rows score the Gram matrix.  When all its entries exceed
+    4 * EPS_UNIT, every point and every midpoint has all points on its +
+    side, farther than 2 * EPS_UNIT: a midpoint's dot with a point is the
+    sum of two Gram entries over a norm of at most 2, and the factor 2 to
+    spare covers rounding.  Such a row is clean, is not scored again,
+    splits nothing and sets no fallback.  The midpoints, all
+    card * (card - 1) / 2 of them since each has squared norm
+    2 + 2 * cos > 2, are then counted against the budget without being
+    scored.
+    """
+    pts, card = code.points, code.card
+    left = 10 * card * code.dimension
+    rows = max(1, min(geometry.BLOCK_ENTRIES // card, left))
+    one_sided = True
+    for dirs, sides, closest in _scored_rows([pts], pts, rows, left):
+        one_sided = one_sided and bool(sides.all()) and closest.min() > 4 * EPS_UNIT
+        yield dirs, sides, closest
+    left -= card
+    if one_sided:
+        midpoints, left = (), left - card * (card - 1) // 2
+    else:
+        midpoints = _midpoint_blocks(pts, rows)
+    if left > 0:
+        blocks = itertools.chain(midpoints, _random_blocks(code.dimension, seed, rows))
+        yield from _scored_rows(blocks, pts, rows, left)
 
 
 def _balanced_splits(code: SphericalCode, seed: int):
@@ -292,13 +332,15 @@ def _balanced_splits(code: SphericalCode, seed: int):
     skipping candidates that leave a point within EPS_UNIT of the separating
     hyperplane; the search stops after the candidate that brings the count
     to 16.  If the budget holds no such split, the first admissible split of
-    a skipped candidate is yielded alone.
+    a skipped candidate is yielded alone, and for a code of two points that
+    no candidate splits, :func:`_two_point_split`.
     """
     if code.card < 2:
         raise DegenerateCode("balanced split needs at least two points")
     pts, card = code.points, code.card
     fallback, seen = None, set()
-    for dirs, sides, clean in _scored_candidates(code, seed):
+    for dirs, sides, closest in _scored_candidates(code, seed):
+        clean = closest > EPS_UNIT
         need_fallback = not seen and fallback is None
         if need_fallback and not clean.all():
             # the side of a point next to the plane is the one that scoring
@@ -320,11 +362,29 @@ def _balanced_splits(code: SphericalCode, seed: int):
                 return
     if seen:
         return
+    if fallback is None and card == 2:
+        fallback = _two_point_split(pts)
     if fallback is None:
         raise SearchBudgetExhausted(
             f"no balanced line found in {10 * card * code.dimension} trials"
         )
     yield fallback
+
+
+def _two_point_split(pts: np.ndarray):
+    """The split ``(line, +1, 1)`` along p0 - p1, normalized, which puts p0 on
+    its + side and p1 on its - side; None if rounding does not (the points
+    coincide or nearly so).  Two close points leave every point and midpoint
+    candidate one-sided, and a random direction splits them only with a
+    probability of their angle over pi.
+    """
+    diff = pts[0] - pts[1]
+    nrm = math.sqrt(diff @ diff)
+    if nrm == 0.0:
+        return None
+    line = LineThroughOrigin(diff / nrm)
+    dots = pts @ line.direction
+    return (line, +1, 1) if dots[0] >= 0.0 > dots[1] else None
 
 
 def find_balanced_line(
@@ -599,13 +659,18 @@ def load_spherical_code(text: str, *, normalize: bool = False) -> SphericalCode:
     dim, lines = read_dim(text, "no points found")
     rows = list(lines)
     pts, error = number_rows(rows, dim)
+    finite = np.isfinite(pts).all(axis=1)
+    bad = ~finite
     if not normalize:
         with np.errstate(over="ignore"):  # a norm beyond the float range is inf
-            bad = np.flatnonzero(np.abs(np.hypot.reduce(pts, axis=1, initial=0.0) - 1) > EPS_NORM)
-        if bad.size:
-            nrm = math.hypot(*pts[bad[0]])  # printed exactly, not as the reduction rounds it
-            raise InputFormatError(f"point norm {nrm!r} not within {EPS_NORM} of 1 "
-                                   "(use normalize)", rows[bad[0]][0])
+            bad |= np.abs(np.hypot.reduce(pts, axis=1, initial=0.0) - 1) > EPS_NORM
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not finite[k]:
+            raise InputFormatError("coordinate is not finite", rows[k][0])
+        nrm = math.hypot(*pts[k])  # printed exactly, not as the reduction rounds it
+        raise InputFormatError(f"point norm {nrm!r} not within {EPS_NORM} of 1 "
+                               "(use normalize)", rows[k][0])
     if error or not rows:
         raise error or InputFormatError("no points found")
     return SphericalCode(pts, normalize=normalize)

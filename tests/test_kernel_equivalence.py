@@ -102,6 +102,12 @@ def ref_find_balanced_line(code, seed=0):
                     fallback = result
     if fallback is not None:
         return fallback
+    if card == 2:
+        diff = code.points[0] - code.points[1]
+        line = LineThroughOrigin(diff / np.linalg.norm(diff))
+        dots = code.points @ line.direction
+        if dots[0] >= 0.0 > dots[1]:
+            return line, +1, 1
     raise SearchBudgetExhausted(f"no balanced line found in {budget} trials")
 
 
@@ -274,6 +280,22 @@ def hadamard_code(order):
     return binary.embed_binary(atlas_mod.sylvester_hadamard_code(order))
 
 
+def cap_code(seed, card, dim, spread=0.2):
+    """Random points in a cap around e_1, all at acute angles."""
+    pts = np.random.default_rng(seed).standard_normal((card, dim)) * spread
+    pts[:, 0] += 1.0
+    code = spherical.SphericalCode(pts, normalize=True, check_distinct=False)
+    assert np.min(code.points @ code.points.T) > 0.1
+    return code
+
+
+def margin_code(dot):
+    """Points at acute angles whose smallest Gram entry is ``dot``, exactly."""
+    return spherical.SphericalCode(np.array([
+        [1.0, 0.0, 0.0], [dot, np.sqrt(1.0 - dot * dot), 0.0],
+        [0.6, 0.6, 0.52915026221291817], [0.8, 0.36, 0.48]]), check_distinct=False)
+
+
 SPLIT_CODES = {
     **{f"random-{s}": (lambda s=s: random_code(s, 3 + 7 * s, 2 + s)) for s in range(6)},
     "parity-4": lambda: cube_code(4, parity=True),
@@ -287,6 +309,17 @@ SPLIT_CODES = {
     # hyperplane, and the first admissible one is returned
     "parity-8-twice": lambda: spherical.SphericalCode(
         np.repeat(cube_code(8, parity=True).points, 2, axis=0), check_distinct=False),
+    # all Gram entries above 4 * EPS_UNIT: no point or midpoint splits, so
+    # their scoring is skipped
+    "hadamard-16-lambda": lambda: spherical.spoil1_lambda(hadamard_code(4), 0.6),
+    "cap-40x6": lambda: cap_code(0, 40, 6),
+    "margin-below": lambda: margin_code(3.99e-12),
+    "margin-above": lambda: margin_code(4.01e-12),
+    # card > 20 * n: the skipped midpoints use up the budget
+    "cap-64x3": lambda: cap_code(1, 64, 3),
+    # two close points, which no candidate in the budget splits for seeds
+    # 3 and 5 (seed 0 draws a direction between them)
+    "two-close-points": lambda: spherical.SphericalCode([[1.0, 0.0], [1.0, 0.01]], normalize=True),
 }
 
 
@@ -414,27 +447,75 @@ def same_split(a, b):
     return (sa, ca) == (sb, cb) and np.array_equal(la.direction, lb.direction)
 
 
+def outcome(func, *args):
+    """What ``func(*args)`` returns, or the class of the SphCodesError it raises."""
+    try:
+        return func(*args)
+    except SphCodesError as exc:
+        return type(exc)
+
+
 @pytest.mark.parametrize("name", sorted(SPLIT_CODES))
 def test_find_balanced_line_matches_scalar_search(name):
     code = SPLIT_CODES[name]()
     for seed in (0, 5):
-        assert same_split(spherical.find_balanced_line(code, seed),
-                          ref_find_balanced_line(code, seed))
+        new = outcome(spherical.find_balanced_line, code, seed)
+        ref = outcome(ref_find_balanced_line, code, seed)
+        assert new is ref if ref is SearchBudgetExhausted else same_split(new, ref)
 
 
 @pytest.mark.parametrize("name", sorted(set(SPLIT_CODES) - {"parity-8-twice"}))
 def test_balanced_candidates_match_scalar_search(name):
     code = SPLIT_CODES[name]()
-    new = sorted(spherical._balanced_splits(code, seed=3), key=lambda t: t[2])
-    ref = ref_balanced_candidates(code, seed=3)
+    new = outcome(lambda: sorted(spherical._balanced_splits(code, seed=3), key=lambda t: t[2]))
+    ref = outcome(ref_balanced_candidates, code, 3)
+    if ref is SearchBudgetExhausted:
+        assert new is ref
+        return
     assert len(new) == len(ref)
     assert all(same_split(a, b) for a, b in zip(new, ref))
+
+
+def test_searches_that_the_budget_ends():
+    # the skipped midpoints use up the budget of cap-64x3; the two close
+    # points are split along their difference
+    assert outcome(ref_find_balanced_line, SPLIT_CODES["cap-64x3"]()) is SearchBudgetExhausted
+    code = SPLIT_CODES["two-close-points"]()
+    line, sign, count = spherical.find_balanced_line(code, seed=5)
+    diff = code.points[0] - code.points[1]
+    assert np.array_equal(line.direction, diff / np.linalg.norm(diff))
+    assert (sign, count) == (+1, 1)
+
+
+def test_one_sided_code_scores_no_midpoint(monkeypatch):
+    # the 16 points, then one block of 16 drawn directions; scoring the
+    # 120 midpoints and then a whole block of drawn directions takes 2,720
+    code = SPLIT_CODES["hadamard-16-lambda"]()
+    scored = []
+    blocks = spherical._scored_candidates
+
+    def counted(code, seed):
+        for scores in blocks(code, seed):
+            scored.append(scores[0].shape[0])
+            yield scores
+
+    monkeypatch.setattr(spherical, "_scored_candidates", counted)
+    spherical.find_balanced_line(code)
+    assert sum(scored) <= 64
 
 
 @pytest.mark.parametrize("name, make", [
     ("hadamard-16", lambda: hadamard_code(4)),
     ("cube-10", lambda: cube_code(10)),
     ("random-128x10", lambda: random_code(7, 128, 10)),
+    ("hadamard-16-lambda", SPLIT_CODES["hadamard-16-lambda"]),
+    # a cap code with a ring of 8 points inserted at rows 20-27, whose
+    # pairs hold every negative Gram entry: at 1 << 10 entries the point
+    # rows come in four blocks, and only the second holds one
+    ("cap-and-ring-60x6", lambda: spherical.SphericalCode(np.insert(
+        cap_code(0, 52, 6, spread=0.05).points, 20, [
+            [0.5, 0.75 ** 0.5 * math.cos(t), 0.75 ** 0.5 * math.sin(t), 0, 0, 0]
+            for t in np.arange(8) * math.pi / 4], axis=0))),
 ])
 def test_balanced_splits_do_not_depend_on_block_size(monkeypatch, name, make):
     # rows are scored on their own and near-plane rows again one by one, so

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sphcodes import atlas, binary, geometry, spherical
@@ -55,6 +55,22 @@ def test_rejects_one_ulp_duplicate_points():
     assert not np.array_equal(x, y) and x @ y >= 1.0
     with pytest.raises(ValueError, match="distinct"):
         spherical.SphericalCode([[0.0, 1.0], x, [1.0, 0.0], y])
+
+
+def test_rejects_a_point_twice_whose_squared_norm_rounds_below_one():
+    rng = np.random.default_rng(0)
+    rng.standard_normal(5)
+    x = rng.standard_normal(5)
+    x /= np.linalg.norm(x)
+    assert x @ x < 1.0 and geometry.min_angle([x, x])[0] > geometry.EPS_ANGLE
+    with pytest.raises(ValueError, match="distinct"):
+        spherical.SphericalCode([x, x])
+
+
+def test_accepts_distinct_points_closer_than_arccos_resolves():
+    pts = [[1.0, 0.0, 0.0], [math.cos(1e-8), math.sin(1e-8), 0.0]]
+    assert np.linalg.norm(np.subtract(*pts)) == pytest.approx(1e-8, rel=1e-12)
+    assert spherical.SphericalCode(pts).card == 2
 
 
 def test_rate_and_code_point():
@@ -241,6 +257,9 @@ def test_balanced_line_exhaustive_on_circle():
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
+# two close points, which no point, midpoint or drawn direction splits
+@example(871)
+@example(2757)
 def test_balanced_line_random_codes(seed):
     rng = np.random.default_rng(seed)
     code = random_sph_code(rng, dim_max=6, card_max=16)
@@ -413,6 +432,13 @@ def test_load_rejects_bad_header():
                     ("dim 2\n1 0\n0 1 0\n3 4\n", 3)]:
         with pytest.raises(InputFormatError, match=f"^line {k}: "):
             spherical.load_spherical_code(text)
+
+
+@pytest.mark.parametrize("bad, normalize", [
+    ("nan", False), ("nan", True), ("inf", True), ("-inf", False)])
+def test_load_names_the_line_of_a_non_finite_coordinate(bad, normalize):
+    with pytest.raises(InputFormatError, match="^line 3: coordinate is not finite"):
+        spherical.load_spherical_code(f"dim 2\n1 0\n{bad} 0\n0 1\n", normalize=normalize)
 
 
 def test_load_then_min_angle_scans_the_gram_once(monkeypatch):
