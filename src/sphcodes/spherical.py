@@ -72,13 +72,12 @@ class SphericalCode:
             raise ValueError(f"points are not unit vectors (max norm error {worst:.3e})")
         self._points = pts
         self._points.setflags(write=False)
-        # the pair of the cached minimum angle, so that a later min_angle
-        # costs no scan; its chord is tested, since arccos cannot resolve an
-        # angle below about 1.5e-8 next to a Gram entry of 1
-        if check_distinct and self.card >= 2:
-            i, j = self.min_angle_pair
-            diff = pts[i] - pts[j]
-            if math.sqrt(diff @ diff) < EPS_ANGLE:
+        # the cached minimum angle, so that a later min_angle costs no scan.
+        # arccos cannot resolve an angle below about 1.5e-8, and the max-Gram
+        # pair need not be the closest one, so near-parallel codes measure
+        # the chords of all their near pairs
+        if check_distinct and self.card >= 2 and self.min_angle < 1e-4:
+            if _has_coinciding_pair(pts):
                 raise ValueError("points are not pairwise distinct beyond EPS_ANGLE")
 
     @property
@@ -124,6 +123,26 @@ class SphericalCode:
 
     def __repr__(self):
         return f"SphericalCode(n={self.dimension}, card={self.card})"
+
+
+def _has_coinciding_pair(pts: np.ndarray) -> bool:
+    """Whether two rows of ``pts`` are closer than EPS_ANGLE.
+
+    The Gram strips of :func:`geometry._gram_strips` select the pairs whose
+    squared distance |x|^2 + |y|^2 - 2 <x, y> is below 1e-12, a margin for
+    the rounding of the Gram entries, and only those are measured directly.
+    Any pair that does so has a Gram entry above 1 - 3e-9 for rows within
+    EPS_NORM of the unit norm, so a code whose minimum angle is 1e-4 or more
+    has none.
+    """
+    sq = np.vecdot(pts, pts)
+    for start, strip in geometry._gram_strips(pts):
+        stop = start + strip.shape[0]
+        near = sq[start:stop, None] + sq[None, start:] - 2.0 * strip < 1e-12
+        for r, c in zip(*np.nonzero(near)):
+            if r < c and np.linalg.norm(pts[start + r] - pts[start + c]) < EPS_ANGLE:
+                return True
+    return False
 
 
 def merge_close_points(pts: np.ndarray, eps: float = EPS_ANGLE) -> np.ndarray:

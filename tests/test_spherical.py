@@ -67,6 +67,27 @@ def test_rejects_a_point_twice_whose_squared_norm_rounds_below_one():
         spherical.SphericalCode([x, x])
 
 
+def test_rejects_a_point_twice_after_a_closer_looking_distinct_pair():
+    # the Gram entries of both pairs round to 1.0, and the tie goes to the
+    # distinct pair (0, 1), which comes first
+    pts = [[1.0, 0.0, 0.0], [math.cos(1e-8), math.sin(1e-8), 0.0],
+           [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]]
+    assert geometry.min_angle(pts)[1] == (0, 1)
+    with pytest.raises(ValueError, match="distinct"):
+        spherical.SphericalCode(pts)
+    text = "dim 3\n" + "".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in pts)
+    with pytest.raises(ValueError, match="distinct"):
+        spherical.load_spherical_code(text)
+
+
+def test_rejects_a_point_twice_whose_norm_is_off_by_less_than_eps_norm():
+    x = np.array([0.6, 0.0, 0.8])
+    y = x * (1.0 - 1e-10)
+    assert geometry.min_angle([x, y])[0] > 1e-6  # arccos of 1 - 1e-10
+    with pytest.raises(ValueError, match="distinct"):
+        spherical.SphericalCode([[1.0, 0.0, 0.0], x, y])
+
+
 def test_accepts_distinct_points_closer_than_arccos_resolves():
     pts = [[1.0, 0.0, 0.0], [math.cos(1e-8), math.sin(1e-8), 0.0]]
     assert np.linalg.norm(np.subtract(*pts)) == pytest.approx(1e-8, rel=1e-12)
