@@ -67,7 +67,7 @@ class BinaryCode:
             return 0
         bits = np.frombuffer("".join(self._words).encode(), dtype=np.uint8) - ord("0")
         signs = 1.0 - 2.0 * bits.reshape(self.card, self._length)
-        top, _pair = geometry.max_gram_pair(signs)
+        top = geometry.max_gram_pair(signs)[0]
         return (self._length - int(top)) // 2
 
     def __eq__(self, other):
@@ -228,12 +228,6 @@ class ConeSet:
         """(0, delta/(1-R)), where L2 meets the R = 0 axis."""
         p = self.anchor
         return 0.0, p.delta / (1.0 - p.rate)
-
-    def line1(self, t: float) -> tuple[float, float]:
-        return _line1(self.anchor, t)
-
-    def line2(self, t: float) -> tuple[float, float]:
-        return _line2(self.anchor, t)
 
     def membership(self, q: tuple[float, float], eps: float = 1e-12) -> str:
         """Classify a point of the square: 'U', 'D', 'L', 'R' or 'boundary'.

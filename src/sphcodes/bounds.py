@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -66,15 +65,12 @@ def simplex_code(n: int) -> SphericalCode:
 
 @dataclass
 class BoundCurve:
-    """A named curve sampled on an ascending phi grid.
-
-    ``evaluate`` is the closed-form evaluator; ``phi_range`` its validity.
-    """
+    """A named curve sampled on an ascending phi grid; ``phi_range`` is
+    the range where its samples must be finite and >= 0."""
 
     name: str
     phi: np.ndarray
     rate: np.ndarray
-    evaluate: Callable[[float], float]
     phi_range: tuple[float, float]
 
     def __post_init__(self):
@@ -98,18 +94,12 @@ def _large_angle_grid(samples: int) -> np.ndarray:
 def large_angle_rate_curve(n: int, samples: int = 512, scale: float = 1.0,
                            name: str | None = None) -> BoundCurve:
     """R = scale/n * log2(min(n+1, (cos phi - 1)/cos phi)) on the large-angle grid."""
-
-    def evaluate(phi: float) -> float:
-        return scale * rankin_curve(n, phi)[1]
-
-    cos_grid = _large_angle_grid(samples)
-    phi_grid = np.arccos(cos_grid)[::-1]  # ascending phi
-    rate = np.array([evaluate(p) for p in phi_grid])
+    phi_grid = np.arccos(_large_angle_grid(samples))[::-1]  # ascending phi
+    rate = np.array([scale * rankin_curve(n, p)[1] for p in phi_grid])
     return BoundCurve(
         name=name or f"large-angle n={n}",
         phi=phi_grid,
         rate=rate,
-        evaluate=evaluate,
         phi_range=(math.pi / 2, math.pi),
     )
 
@@ -131,7 +121,7 @@ def figure_curves(which: str, *, n_values=None, n: int = 2, m_values=None,
     if which == "fig2":
         phi_grid = np.linspace(0.0, math.pi / 2, samples + 1)[1:]
         rate = np.array([kl_bound(p) for p in phi_grid])
-        return [BoundCurve("H", phi_grid, rate, kl_bound, (0.0, math.pi / 2))]
+        return [BoundCurve("H", phi_grid, rate, (0.0, math.pi / 2))]
     if which == "fig3":
         ms = list(m_values) if m_values is not None else [1, 2, 3, 4, 5]
         if not ms:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -19,8 +18,6 @@ import numpy as np
 from . import atlas as atlas_mod
 from . import binary, bounds, emit, geometry, packings, spherical, verify
 from .errors import SphCodesError
-
-BUDGET_ENV = "SPHCODES_BUDGET"
 
 
 def _fmt(x: float) -> str:
@@ -32,11 +29,6 @@ def _write(path: str | None, text: str) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
-
-
-def _default_budget(fallback: int) -> int:
-    raw = os.environ.get(BUDGET_ENV)
-    return int(raw) if raw else fallback
 
 
 def _line_arg(text: str) -> spherical.LineThroughOrigin:
@@ -142,8 +134,7 @@ def cmd_spoil(args) -> int:
 
 def cmd_atlas(args) -> int:
     cutoff = bounds.CutoffRegion(args.phi_c)
-    budget = args.budget if args.budget is not None else _default_budget(10_000)
-    built = atlas_mod.atlas_build(None, cutoff, budget, seed=args.seed)
+    built = atlas_mod.atlas_build(None, cutoff, args.budget, seed=args.seed)
     _write(args.out, atlas_mod.dump_atlas(built))
     return 0
 
@@ -267,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("atlas", help="build the empirical atlas")
     a.add_argument("--phi-c", type=float, default=0.4)
-    a.add_argument("--budget", type=int)
+    a.add_argument("--budget", type=int, default=10_000)
     a.add_argument("--seed", type=int, default=0)
     a.add_argument("--out")
     a.set_defaults(func=cmd_atlas)

@@ -19,8 +19,17 @@ EPS_UNIT = 1e-12
 # Norm tolerance for the points of a code: code files and computed codes
 # carry more rounding than a single direction, so this is coarser.
 EPS_NORM = 1e-9
-# Tolerance for angle comparisons (coarser: arccos loses precision near 0 and pi).
+# Tolerance for angle comparisons: two points of a code whose chord is below
+# it coincide.
 EPS_ANGLE = 1e-9
+# Next to 1, arccos of a Gram entry resolves angles only to about 1.5e-8, so
+# the pairs closer than NEAR_ANGLE, those of chord below NEAR_CHORD, are
+# measured by their chord.  For rows within EPS_NORM of the unit norm such a
+# pair has a Gram entry (|x|^2 + |y|^2 - chord^2) / 2 above 1 - 7.1e-9;
+# NEAR_GRAM leaves a margin below that for the rounding of the entry.
+NEAR_ANGLE = 1e-4
+NEAR_CHORD = 2.0 * math.sin(NEAR_ANGLE / 2)
+NEAR_GRAM = 1.0 - 1e-8
 # Gram strips, candidate-score blocks and envelope blocks hold at most this
 # many float64 entries: 512 KiB, so that a block, its boolean sides and the
 # points it is scored against fit in a 2 MiB per-core L2 cache between the
@@ -144,12 +153,15 @@ def _gram_strips(x: np.ndarray):
         start = stop
 
 
-def max_gram_pair(x) -> tuple[float, tuple[int, int]]:
-    """Largest off-diagonal Gram entry of >= 2 rows and its pair i < j.
+def max_gram_pair(x, near: float = math.inf) -> tuple[float, tuple[int, int], list]:
+    """Largest off-diagonal Gram entry of >= 2 rows, its pair i < j, and the
+    pairs i < j whose entry is at least ``near``.
 
-    Of equal entries, the pair first in row-major order is returned.
+    Of equal entries, the pair first in row-major order is returned.  The
+    pairs at least ``near`` come in row-major order, as one (2, count)
+    index array for each strip that holds one.
     """
-    best, pair = -math.inf, (0, 1)
+    best, pair, above = -math.inf, (0, 1), []
     for start, strip in _gram_strips(np.asarray(x, dtype=float)):
         rows = np.arange(strip.shape[0])
         strip[:, :rows.size][rows[:, None] >= rows] = -np.inf  # the pairs j <= i
@@ -157,18 +169,53 @@ def max_gram_pair(x) -> tuple[float, tuple[int, int]]:
         if strip.flat[k] > best:  # strict, so that an earlier strip wins a tie
             r, c = divmod(k, strip.shape[1])
             best, pair = float(strip.flat[k]), (start + r, start + c)
-    return best, pair
+        if strip.flat[k] >= near:
+            above.append(np.array(np.nonzero(strip >= near)) + start)
+    return best, pair, above
+
+
+def _near(x: np.ndarray, above: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(i, j, chord)`` of the pairs of the index arrays ``above`` whose
+    chord ||x_i - x_j|| is below NEAR_CHORD, taking the differences
+    BLOCK_ENTRIES coordinates at a time."""
+    i, j = np.hstack([np.empty((2, 0), dtype=np.intp), *above])
+    chord = np.empty(i.size)
+    step = max(1, BLOCK_ENTRIES // x.shape[1])
+    for k in range(0, i.size, step):
+        diff = x[i[k:k + step]] - x[j[k:k + step]]
+        chord[k:k + step] = np.sqrt(np.vecdot(diff, diff))
+    near = chord < NEAR_CHORD
+    return i[near], j[near], chord[near]
+
+
+def near_pairs(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(i, j, chord)`` of the pairs i < j of rows of ``x``, in row-major
+    order, whose chord ||x_i - x_j|| is below NEAR_CHORD.
+
+    The rows must lie within EPS_NORM of the unit norm: the pairs are
+    selected by a Gram entry of at least NEAR_GRAM, then measured directly.
+    """
+    x = np.asarray(x, dtype=float)
+    return _near(x, max_gram_pair(x, NEAR_GRAM)[2])
 
 
 def min_angle(points) -> tuple[float, tuple[int, int]]:
     """Minimum pairwise angle of >= 2 unit vectors, with the argmin pair i < j.
 
+    With a near pair (:func:`near_pairs`), the angle is 2 asin(chord / 2) of
+    the closest one, the first in row-major order of equal chords; without,
+    it is the arccos of the largest Gram entry.  One Gram scan serves both.
     Raises DegenerateCode for fewer than two points.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise DegenerateCode("minimum angle needs at least two points")
-    cos, pair = max_gram_pair(pts)
+    cos, pair, above = max_gram_pair(pts, NEAR_GRAM)
+    if above:
+        i, j, chord = _near(pts, above)
+        if chord.size:
+            k = int(np.argmin(chord))
+            return 2.0 * math.asin(chord[k] / 2.0), (int(i[k]), int(j[k]))
     return float(np.arccos(clamp_cos(cos))), pair
 
 

@@ -585,6 +585,9 @@ def load_packing(text: str, default_radius: float | None = None) -> PeriodicPack
     except InputFormatError as exc:
         error = exc
     pts, bad_row = number_rows(rows, dim)
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():  # these rows all come before a bad row or the error's line
+        raise InputFormatError("coordinate is not finite", rows[int(np.argmin(finite))][0])
     if bad_row or error:  # every row precedes the error's line, so a bad row comes first
         raise bad_row or error
     if len(rows) != dim + translates:

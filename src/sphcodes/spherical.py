@@ -72,13 +72,10 @@ class SphericalCode:
             raise ValueError(f"points are not unit vectors (max norm error {worst:.3e})")
         self._points = pts
         self._points.setflags(write=False)
-        # the cached minimum angle, so that a later min_angle costs no scan.
-        # arccos cannot resolve an angle below about 1.5e-8, and the max-Gram
-        # pair need not be the closest one, so near-parallel codes measure
-        # the chords of all their near pairs
-        if check_distinct and self.card >= 2 and self.min_angle < 1e-4:
-            if _has_coinciding_pair(pts):
-                raise ValueError("points are not pairwise distinct beyond EPS_ANGLE")
+        # the cached minimum angle, so that a later min_angle costs no scan;
+        # below NEAR_ANGLE it is the chord angle of the closest pair
+        if check_distinct and self.card >= 2 and self.min_angle < EPS_ANGLE:
+            raise ValueError("points are not pairwise distinct beyond EPS_ANGLE")
 
     @property
     def points(self) -> np.ndarray:
@@ -125,45 +122,19 @@ class SphericalCode:
         return f"SphericalCode(n={self.dimension}, card={self.card})"
 
 
-def _has_coinciding_pair(pts: np.ndarray) -> bool:
-    """Whether two rows of ``pts`` are closer than EPS_ANGLE.
+def merge_close_points(pts: np.ndarray) -> np.ndarray:
+    """Drop each point whose chord to an earlier kept point is below EPS_ANGLE.
 
-    The Gram strips of :func:`geometry._gram_strips` select the pairs whose
-    squared distance |x|^2 + |y|^2 - 2 <x, y> is below 1e-12, a margin for
-    the rounding of the Gram entries, and only those are measured directly.
-    Any pair that does so has a Gram entry above 1 - 3e-9 for rows within
-    EPS_NORM of the unit norm, so a code whose minimum angle is 1e-4 or more
-    has none.
+    The first point of each close group is kept.  The pairs are those of
+    :func:`geometry.near_pairs`, so the rows must lie within EPS_NORM of
+    the unit norm.
     """
-    sq = np.vecdot(pts, pts)
-    for start, strip in geometry._gram_strips(pts):
-        stop = start + strip.shape[0]
-        near = sq[start:stop, None] + sq[None, start:] - 2.0 * strip < 1e-12
-        for r, c in zip(*np.nonzero(near)):
-            if r < c and np.linalg.norm(pts[start + r] - pts[start + c]) < EPS_ANGLE:
-                return True
-    return False
-
-
-def merge_close_points(pts: np.ndarray, eps: float = EPS_ANGLE) -> np.ndarray:
-    """Drop points whose angle to an earlier kept point is below ``eps``.
-
-    The first point of each close group is kept.  The Gram strips of
-    :func:`geometry._gram_strips` select the pairs with cosine near
-    cos(eps), and only those are tested with :func:`geometry.angle_between`.
-    Note that arccos resolves angles next to 0 only to about 1.5e-8 (its
-    step below 1.0), so the default ``EPS_ANGLE`` merges exactly the pairs
-    whose clamped dot is 1.
-    """
-    threshold = np.cos(eps) - 1e-12  # margin for the rounding of the Gram entries
+    i, j, chord = geometry.near_pairs(pts)
     keep = np.ones(pts.shape[0], dtype=bool)
-    for start, strip in geometry._gram_strips(pts):
-        near_i, near_j = np.nonzero(strip >= threshold)
-        upper = near_i < near_j
-        for i, j in zip((near_i[upper] + start).tolist(), (near_j[upper] + start).tolist()):
-            # rows come in order, so keep[i] is final once row i is reached
-            if keep[i] and keep[j] and geometry.angle_between(pts[i], pts[j]) < eps:
-                keep[j] = False
+    for a, b in zip(i[chord < EPS_ANGLE].tolist(), j[chord < EPS_ANGLE].tolist()):
+        # pairs come in row-major order, so keep[a] is final once row a is reached
+        if keep[a]:
+            keep[b] = False
     return pts[keep]
 
 
@@ -222,15 +193,18 @@ def spoil2(code: SphericalCode, line: LineThroughOrigin) -> tuple[SphericalCode,
         raise DegenerateCode("cannot project a code on S^0")
     pts, comps = geometry.project_points(code.points, line)
     xi = min(1.0, float(np.min(np.sqrt(np.maximum(0.0, 1.0 - comps * comps)))))
-    merged = merge_close_points(pts)
-    if merged.shape[0] < pts.shape[0]:
+    out = SphericalCode(pts, normalize=True, check_distinct=False)
+    if out.card >= 2 and out.min_angle >= EPS_ANGLE:  # the common case: one scan
+        return out, xi
+    merged = merge_close_points(out.points)
+    if merged.shape[0] < out.card:
         warnings.warn(
-            f"spoil2 merged {pts.shape[0] - merged.shape[0]} coinciding projections",
+            f"spoil2 merged {out.card - merged.shape[0]} coinciding projections",
             stacklevel=2,
         )
     if merged.shape[0] < 2:
         raise DegenerateCode("all projections coincide")
-    return SphericalCode(merged, normalize=True, check_distinct=False), xi
+    return SphericalCode(merged, check_distinct=False), xi
 
 
 def xi_to_u(xi: float) -> float:
@@ -351,8 +325,11 @@ def _balanced_splits(code: SphericalCode, seed: int):
     skipping candidates that leave a point within EPS_UNIT of the separating
     hyperplane; the search stops after the candidate that brings the count
     to 16.  If the budget holds no such split, the first admissible split of
-    a skipped candidate is yielded alone, and for a code of two points that
-    no candidate splits, :func:`_two_point_split`.
+    a skipped candidate is yielded alone.  If no candidate splits at all,
+    the line along p_i - p_j of the closest pair (i, j), which puts p_i on
+    its + side, splits by its fuller side: a near-parallel code leaves every
+    point and midpoint one-sided, and a random direction splits its closest
+    pair only with a probability of their angle over pi.
     """
     if code.card < 2:
         raise DegenerateCode("balanced split needs at least two points")
@@ -381,29 +358,20 @@ def _balanced_splits(code: SphericalCode, seed: int):
                 return
     if seen:
         return
-    if fallback is None and card == 2:
-        fallback = _two_point_split(pts)
+    if fallback is None:
+        i, j = code.min_angle_pair
+        diff = pts[i] - pts[j]
+        if diff.any():  # else p_i and p_j coincide
+            line = LineThroughOrigin(diff / math.sqrt(diff @ diff))
+            dots = pts @ line.direction
+            plus = int(np.count_nonzero(dots >= 0.0))
+            if dots[i] >= 0.0 > dots[j]:  # rounding may put p_i and p_j on one side
+                fallback = (line, +1, plus) if 2 * plus >= card else (line, -1, card - plus)
     if fallback is None:
         raise SearchBudgetExhausted(
             f"no balanced line found in {10 * card * code.dimension} trials"
         )
     yield fallback
-
-
-def _two_point_split(pts: np.ndarray):
-    """The split ``(line, +1, 1)`` along p0 - p1, normalized, which puts p0 on
-    its + side and p1 on its - side; None if rounding does not (the points
-    coincide or nearly so).  Two close points leave every point and midpoint
-    candidate one-sided, and a random direction splits them only with a
-    probability of their angle over pi.
-    """
-    diff = pts[0] - pts[1]
-    nrm = math.sqrt(diff @ diff)
-    if nrm == 0.0:
-        return None
-    line = LineThroughOrigin(diff / nrm)
-    dots = pts @ line.direction
-    return (line, +1, 1) if dots[0] >= 0.0 > dots[1] else None
 
 
 def find_balanced_line(

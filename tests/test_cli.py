@@ -291,19 +291,6 @@ def test_verify_exits_zero(capsys):
     assert "[FAIL]" not in out
 
 
-def test_atlas_budget_env_override(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.BUDGET_ENV, "50")
-    out_a = tmp_path / "a.txt"
-    rc, _o, _e = run(capsys, "atlas", "--phi-c", "0.4", "--out", str(out_a))
-    assert rc == 0
-    monkeypatch.delenv(cli.BUDGET_ENV)
-    out_b = tmp_path / "b.txt"
-    rc, _o, _e = run(capsys, "atlas", "--phi-c", "0.4", "--budget", "50",
-                     "--out", str(out_b))
-    assert rc == 0
-    assert out_a.read_text() == out_b.read_text()
-
-
 def test_atlas_budget_zero_is_rejected(capsys, tmp_path):
     out = tmp_path / "atlas.txt"
     rc, stdout, err = run(capsys, "atlas", "--budget", "0", "--out", str(out))

@@ -63,6 +63,19 @@ def test_min_angle_needs_two_points():
         geometry.min_angle(np.array([[1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1.0 - 0.9e-9])
+@pytest.mark.parametrize("angle", [1e-8, 1e-6, 9.9e-5])
+def test_min_angle_measures_every_pair_inside_the_near_angle_by_chord(angle, scale):
+    # rows at either end of EPS_NORM: inside NEAR_ANGLE every pair is near,
+    # and the closest one is the later pair (1, 2)
+    pts = scale * np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
+                            [math.cos(angle), math.sin(angle), 0.0]])
+    chord = np.linalg.norm(pts[1] - pts[2])
+    i, j, chords = geometry.near_pairs(pts)
+    assert (i.tolist(), j.tolist(), chords.tolist()) == ([1], [2], [chord])
+    assert geometry.min_angle(pts) == (2.0 * math.asin(chord / 2.0), (1, 2))
+
+
 @given(st.floats(0.0, 0.999999))
 def test_section_radius(h):
     r = geometry.section_radius(h)

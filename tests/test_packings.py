@@ -416,6 +416,16 @@ def test_load_packing_bad_header():
             packings.load_packing(text)
 
 
+@pytest.mark.parametrize("text, k", [
+    ("dim 2\n1 0\nnan 1\n", 3),                       # a basis row
+    ("dim 2\n1 0\n0 1\ntranslates 1\ninf 0.5\n", 5),  # a translate row
+    ("dim 2\n1 0\n-inf 1\n0 x\n", 3),                # above a malformed row
+])
+def test_load_packing_names_the_line_of_a_non_finite_coordinate(text, k):
+    with pytest.raises(InputFormatError, match=f"^line {k}: coordinate is not finite"):
+        packings.load_packing(text)
+
+
 @pytest.mark.parametrize("text", [
     "dim 2.5\n1 0\n0 1\n",
     "dim 0\n",

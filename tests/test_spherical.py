@@ -62,17 +62,18 @@ def test_rejects_a_point_twice_whose_squared_norm_rounds_below_one():
     rng.standard_normal(5)
     x = rng.standard_normal(5)
     x /= np.linalg.norm(x)
-    assert x @ x < 1.0 and geometry.min_angle([x, x])[0] > geometry.EPS_ANGLE
+    # arccos of the Gram entry x @ x would read 1.49e-8
+    assert x @ x < 1.0 and geometry.min_angle([x, x]) == (0.0, (0, 1))
     with pytest.raises(ValueError, match="distinct"):
         spherical.SphericalCode([x, x])
 
 
 def test_rejects_a_point_twice_after_a_closer_looking_distinct_pair():
-    # the Gram entries of both pairs round to 1.0, and the tie goes to the
-    # distinct pair (0, 1), which comes first
+    # the Gram entries of both pairs round to 1.0, where the tie would go to
+    # the distinct pair (0, 1), which comes first; their chords tell them apart
     pts = [[1.0, 0.0, 0.0], [math.cos(1e-8), math.sin(1e-8), 0.0],
            [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]]
-    assert geometry.min_angle(pts)[1] == (0, 1)
+    assert geometry.min_angle(pts) == (0.0, (2, 3))
     with pytest.raises(ValueError, match="distinct"):
         spherical.SphericalCode(pts)
     text = "dim 3\n" + "".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in pts)
@@ -83,7 +84,8 @@ def test_rejects_a_point_twice_after_a_closer_looking_distinct_pair():
 def test_rejects_a_point_twice_whose_norm_is_off_by_less_than_eps_norm():
     x = np.array([0.6, 0.0, 0.8])
     y = x * (1.0 - 1e-10)
-    assert geometry.min_angle([x, y])[0] > 1e-6  # arccos of 1 - 1e-10
+    # arccos of the Gram entry 1 - 1e-10 would read 1.4e-5
+    assert geometry.min_angle([x, y])[0] == pytest.approx(1e-10, rel=1e-5)
     with pytest.raises(ValueError, match="distinct"):
         spherical.SphericalCode([[1.0, 0.0, 0.0], x, y])
 
@@ -91,7 +93,20 @@ def test_rejects_a_point_twice_whose_norm_is_off_by_less_than_eps_norm():
 def test_accepts_distinct_points_closer_than_arccos_resolves():
     pts = [[1.0, 0.0, 0.0], [math.cos(1e-8), math.sin(1e-8), 0.0]]
     assert np.linalg.norm(np.subtract(*pts)) == pytest.approx(1e-8, rel=1e-12)
-    assert spherical.SphericalCode(pts).card == 2
+    code = spherical.SphericalCode(pts)
+    assert abs(code.min_angle - 1e-8) <= 1e-22
+    assert code.min_angle_pair == (0, 1)
+
+
+def test_min_angle_of_rows_off_unit_norm_next_to_the_near_angle():
+    # the Gram entry of these rows is above cos(1e-4), but their chord is
+    # not below NEAR_CHORD: no pair is near, and arccos gives the angle
+    t = 1.15e-4
+    pts = np.array([[1.0, 0.0, 0.0], [math.cos(t), math.sin(t), 0.0]]) * (1 + 0.9e-9)
+    assert pts[0] @ pts[1] >= math.cos(geometry.NEAR_ANGLE)
+    assert geometry.near_pairs(pts)[0].size == 0
+    angle, pair = geometry.min_angle(pts)
+    assert angle == pytest.approx(math.acos(pts[0] @ pts[1]), rel=1e-6) and pair == (0, 1)
 
 
 def test_rate_and_code_point():
@@ -470,6 +485,18 @@ def test_load_then_min_angle_scans_the_gram_once(monkeypatch):
     strips = geometry._gram_strips
     monkeypatch.setattr(geometry, "_gram_strips", lambda pts: passes.append(1) or strips(pts))
     assert spherical.load_spherical_code(text).min_angle == want
+    assert len(passes) == 1
+
+
+def test_spoil2_then_min_angle_scans_the_gram_once(monkeypatch):
+    x = np.random.default_rng(4).standard_normal((500, 6))
+    code = spherical.SphericalCode(x, normalize=True, check_distinct=False)
+    line = LineThroughOrigin(np.ones(6) / math.sqrt(6))
+    passes = []
+    strips = geometry._gram_strips
+    monkeypatch.setattr(geometry, "_gram_strips", lambda pts: passes.append(1) or strips(pts))
+    out, _ = spherical.spoil2(code, line)
+    assert out.card == code.card and out.min_angle > geometry.EPS_ANGLE
     assert len(passes) == 1
 
 
