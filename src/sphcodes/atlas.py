@@ -51,29 +51,17 @@ def sylvester_hadamard_code(order: int) -> binary.BinaryCode:
     h = np.array([[0]])
     for _ in range(order):
         h = np.block([[h, h], [h, 1 - h]])
-    return binary.BinaryCode("".join(str(int(b)) for b in row) for row in h)
+    return binary.BinaryCode(h)
 
 
 def default_seeds() -> list[SphericalCode]:
     """Cheap and diverse seed codes: embedded binary families and simplices."""
-    seeds: list[SphericalCode] = []
-    for n in range(2, 9):
-        rep = binary.BinaryCode(["0" * n, "1" * n])
-        seeds.append(binary.embed_binary(rep))
-    for n in (4, 6, 8):
-        parity = binary.BinaryCode(
-            w for w in _all_words(n) if w.count("1") % 2 == 0
-        )
-        seeds.append(binary.embed_binary(parity))
-    seeds.append(binary.embed_binary(sylvester_hadamard_code(3)))
-    for n in range(2, 7):
-        seeds.append(simplex_code(n))
-    return seeds
-
-
-def _all_words(n: int):
-    for v in range(2 ** n):
-        yield format(v, f"0{n}b")
+    codes = [binary.BinaryCode(np.repeat([[0], [1]], n, axis=1)) for n in range(2, 9)]
+    for n in (4, 6, 8):  # the even-weight words of the cube
+        cube = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+        codes.append(binary.BinaryCode(cube[cube.sum(axis=1) % 2 == 0]))
+    codes.append(sylvester_hadamard_code(3))
+    return [binary.embed_binary(c) for c in codes] + [simplex_code(n) for n in range(2, 7)]
 
 
 def _spoil_once(code: SphericalCode, rng: np.random.Generator) -> SphericalCode | None:
@@ -127,11 +115,8 @@ def atlas_build(
         raise ValueError("all seeds are degenerate")
     rng = np.random.default_rng(seed)
 
-    atlas = Atlas(cutoff=cutoff)
-    worklist: list[SphericalCode] = []
-    for i, s in enumerate(seeds):
-        atlas.observed.append(s.code_point(provenance=f"seed[{i}]"))
-        worklist.append(s)
+    atlas = Atlas(cutoff, [s.code_point(provenance=f"seed[{i}]") for i, s in enumerate(seeds)])
+    worklist = list(seeds)
 
     ops_done = 0
     idx = 0

@@ -1,6 +1,6 @@
 """Binary [n, k, d] codes, their spoiling operations and cube embedding.
 
-Words are bit strings of explicit equal length (leading zeros matter).
+A code is a read-only, sorted uint8 array of distinct rows of 0s and 1s.
 All indices are 0-based.  Parameters are always recomputed after a
 spoiling operation rather than trusted from the textbook labels, since
 coordinate deletion can merge words (d = 1) and can lower d by one.
@@ -9,6 +9,7 @@ coordinate deletion can merge words (d = 1) and can lower d by one.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -24,37 +25,69 @@ def hamming_distance(a: str, b: str) -> int:
     """Number of positions where two equal-length words differ."""
     if len(a) != len(b):
         raise DimensionMismatch(f"word lengths {len(a)} and {len(b)} differ")
-    return sum(1 for x, y in zip(a, b) if x != y)
+    return sum(map(operator.ne, a, b))
 
 
-def _check_word(w: str, n: int) -> str:
-    if len(w) != n or any(c not in "01" for c in w):
-        raise ValueError(f"word {w!r} is not a bit string of length {n}")
-    return w
+def _parse_words(words: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each word's length, all characters as one flat array of bit values
+    (any other character maps above 1), and which words hold another one."""
+    lengths = np.fromiter(map(len, words), np.intp, len(words))
+    # one byte per character: anything outside ASCII becomes '?'
+    bits = np.frombuffer("".join(words).encode("ascii", "replace"), np.uint8) - ord("0")
+    seen = np.concatenate(([0], np.cumsum(bits > 1)))  # non-bits before each position
+    ends = np.cumsum(lengths)
+    return lengths, bits, seen[ends] > seen[ends - lengths]
 
 
 class BinaryCode:
-    """Non-empty set of distinct equal-length bit words."""
+    """Non-empty set of distinct equal-length bit words.
+
+    Built from an iterable of '0'/'1' strings, or from a (card, n) array of
+    0s and 1s such as ``bits``; duplicates are dropped either way.
+    """
 
     def __init__(self, words):
-        ws = sorted(set(words))
-        if not ws:
+        if isinstance(words, np.ndarray):
+            if words.ndim != 2 or not ((words == 0) | (words == 1)).all():
+                raise ValueError("bits must be a (card, n) array of 0s and 1s")
+            bits = words
+        else:
+            words = list(words)
+            n = len(min(words, default=""))  # the length of the first sorted word
+            lengths, bits, nonbit = _parse_words(words)
+            bad = nonbit | (lengths != n)
+            if bad.any():
+                first = min(w for w, b in zip(words, bad) if b)
+                raise ValueError(f"word {first!r} is not a bit string of length {n}")
+            bits = bits.reshape(len(words), n)
+        card, n = bits.shape
+        if card == 0:
             raise ValueError("a code must contain at least one word")
-        n = len(ws[0])
-        self._words = tuple(_check_word(w, n) for w in ws)
-        self._length = n
+        if n == 0:
+            raise ValueError("words must have at least one bit")
+        # each row as one fixed-width byte key, sorted bytewise: the order of
+        # the words as strings (np.unique would also import numpy.ma, 1 MB)
+        keys = np.sort(np.ascontiguousarray(bits, dtype=np.uint8).view(f"V{n}").ravel())
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        self._bits = keys.view(np.uint8).reshape(-1, n)
+        self._bits.setflags(write=False)
 
     @property
+    def bits(self) -> np.ndarray:
+        """The words as rows of 0s and 1s, in sorted order (read-only)."""
+        return self._bits
+
+    @cached_property
     def words(self) -> tuple[str, ...]:
-        return self._words
+        return tuple((self._bits + ord("0")).view(f"S{self.length}")[:, 0].astype(str).tolist())
 
     @property
     def length(self) -> int:
-        return self._length
+        return self._bits.shape[1]
 
     @property
     def card(self) -> int:
-        return len(self._words)
+        return self._bits.shape[0]
 
     @cached_property
     def min_distance(self) -> int:
@@ -65,16 +98,14 @@ class BinaryCode:
         """
         if self.card == 1:
             return 0
-        bits = np.frombuffer("".join(self._words).encode(), dtype=np.uint8) - ord("0")
-        signs = 1.0 - 2.0 * bits.reshape(self.card, self._length)
-        top = geometry.max_gram_pair(signs)[0]
-        return (self._length - int(top)) // 2
+        top = geometry.max_gram_pair(1.0 - 2.0 * self._bits)[0]
+        return (self.length - int(top)) // 2
 
     def __eq__(self, other):
-        return isinstance(other, BinaryCode) and self._words == other._words
+        return isinstance(other, BinaryCode) and np.array_equal(self._bits, other._bits)
 
     def __hash__(self):
-        return hash(self._words)
+        return hash((self.length, self._bits.tobytes()))
 
     def __repr__(self):
         return f"BinaryCode(n={self.length}, card={self.card}, d={self.min_distance})"
@@ -90,16 +121,10 @@ class BinaryCodePoint:
     k: float
     d: int
 
-    @classmethod
-    def of(cls, code: BinaryCode) -> "BinaryCodePoint":
-        n = code.length
-        k = math.log2(code.card)
-        d = code.min_distance
-        return cls(rate=k / n, delta=d / n, n=n, k=k, d=d)
-
 
 def code_parameters(code: BinaryCode) -> BinaryCodePoint:
-    return BinaryCodePoint.of(code)
+    n, k, d = code.length, math.log2(code.card), code.min_distance
+    return BinaryCodePoint(rate=k / n, delta=d / n, n=n, k=k, d=d)
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +147,11 @@ def spoil1_binary(code: BinaryCode, i: int, f: Callable[[str], str]) -> BinaryCo
     n = code.length
     if not (0 <= i <= n):
         raise ValueError(f"insert position {i} outside 0..{n}")
-    new_words = []
-    for w in code.words:
-        bit = f(w)
+    col = [f(w) for w in code.words]
+    for w, bit in zip(code.words, col):
         if bit not in ("0", "1"):
             raise ValueError(f"f is undefined (or non-binary) on word {w!r}")
-        new_words.append(w[:i] + bit + w[i:])
-    return BinaryCode(new_words)
+    return BinaryCode(np.insert(code.bits, i, np.array(col) == "1", axis=1))
 
 
 def spoil2_binary(code: BinaryCode, i: int) -> BinaryCode:
@@ -138,7 +161,7 @@ def spoil2_binary(code: BinaryCode, i: int) -> BinaryCode:
         raise ValueError("cannot delete a coordinate of a length-1 code")
     if not (0 <= i < n):
         raise ValueError(f"position {i} outside 0..{n - 1}")
-    return BinaryCode(w[:i] + w[i + 1:] for w in code.words)
+    return BinaryCode(np.delete(code.bits, i, axis=1))
 
 
 def spoil3_binary(code: BinaryCode, i: int, a: str | None = None) -> BinaryCode:
@@ -150,15 +173,16 @@ def spoil3_binary(code: BinaryCode, i: int, a: str | None = None) -> BinaryCode:
     n = code.length
     if not (0 <= i < n):
         raise ValueError(f"position {i} outside 0..{n - 1}")
+    col = code.bits[:, i]
     if a is None:
         if code.card < 2:
             raise ValueError("auto-select needs at least two words")
-        ones = sum(1 for w in code.words if w[i] == "1")
+        ones = int(np.count_nonzero(col))
         a = "1" if ones > code.card - ones else "0"
     if a not in ("0", "1"):
         raise ValueError("symbol must be '0' or '1'")
-    sub = [w for w in code.words if w[i] == a]
-    if not sub:
+    sub = code.bits[col == int(a)]
+    if not sub.size:
         raise ValueError(f"no word carries {a!r} at position {i}")
     return BinaryCode(sub)
 
@@ -175,27 +199,13 @@ def embed_binary(code: BinaryCode) -> SphericalCode:
     """
     if code.card < 2:
         raise ValueError("embedding needs at least two words")
-    n = code.length
-    scale = 1.0 / math.sqrt(n)
-    pts = np.array(
-        [[scale if c == "0" else -scale for c in w] for w in code.words]
-    )
-    return SphericalCode(pts, check_distinct=False)
+    scale = 1.0 / math.sqrt(code.length)
+    return SphericalCode(scale * (1.0 - 2.0 * code.bits), check_distinct=False)
 
 
 # ---------------------------------------------------------------------------
 # Controlling cones in the (R, delta) square
 # ---------------------------------------------------------------------------
-
-def _line1(p: BinaryCodePoint, t: float) -> tuple[float, float]:
-    """L1(P): ((1+t) R, (1+t) delta - t); passes through (R, delta) = (0, 1)."""
-    return (1 + t) * p.rate, (1 + t) * p.delta - t
-
-
-def _line2(p: BinaryCodePoint, t: float) -> tuple[float, float]:
-    """L2(P): ((1+t) R - t, (1+t) delta); passes through (R, delta) = (1, 0)."""
-    return (1 + t) * p.rate - t, (1 + t) * p.delta
-
 
 def _side(anchor: tuple[float, float], through: tuple[float, float],
           q: tuple[float, float]) -> float:
@@ -268,13 +278,15 @@ def numerical_spoil_points(
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """The two spoiled points at t = 1/(n-1) on the cone boundary lines.
 
-    Returns ``(P1, P2)`` with P1 on L1 (second spoiling operation: n-1, d-1)
-    and P2 on L2 (third spoiling: n-1, k-1).
+    Returns ``(P1, P2)``: P1 = ((1+t) R, (1+t) delta - t) on L1 (second
+    spoiling operation: n-1, d-1) and P2 = ((1+t) R - t, (1+t) delta) on L2
+    (third spoiling: n-1, k-1).
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     t = 1.0 / (n - 1)
-    return _line1(p, t), _line2(p, t)
+    r, d = p.rate, p.delta
+    return ((1 + t) * r, (1 + t) * d - t), ((1 + t) * r - t, (1 + t) * d)
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +298,16 @@ def dump_binary_code(code: BinaryCode) -> str:
 
 
 def load_binary_code(text: str) -> BinaryCode:
-    words = []
-    for lineno, parts in text_lines(text):
-        word = " ".join(parts)
-        if any(c not in "01" for c in word):
-            raise InputFormatError(f"word {word!r} has characters outside 0/1", lineno)
-        if words and len(word) != len(words[0]):
-            raise InputFormatError(f"word length {len(word)} differs from {len(words[0])}", lineno)
-        words.append(word)
-    if not words:
+    lines = list(text_lines(text))
+    if not lines:
         raise InputFormatError("no words found")
-    return BinaryCode(words)
+    words = [" ".join(parts) for _, parts in lines]
+    lengths, bits, nonbit = _parse_words(words)
+    # the first line holding a non-bit, or a length other than the first word's
+    bad = nonbit | (lengths != lengths[0])
+    if bad.any():
+        i = int(np.argmax(bad))
+        msg = (f"word {words[i]!r} has characters outside 0/1" if nonbit[i]
+               else f"word length {lengths[i]} differs from {lengths[0]}")
+        raise InputFormatError(msg, lines[i][0])
+    return BinaryCode(bits.reshape(len(words), -1))

@@ -110,8 +110,8 @@ def figure_curves(which: str, *, n_values=None, n: int = 2, m_values=None,
 
     fig1: large-angle rate curves for each n in ``n_values``.
     fig2: the small-angle bound H(phi).
-    fig3: the fig1 curve for dimension ``n`` rescaled by n/(n+m) for each m,
-          the image of repeated section embeddings.
+    fig3: the fig1 curve for dimension ``n`` rescaled by n/(n+m) for each
+          m >= 0, the image of m section embeddings.
     """
     if which == "fig1":
         ns = list(n_values) if n_values is not None else list(range(1, 11))
@@ -126,6 +126,8 @@ def figure_curves(which: str, *, n_values=None, n: int = 2, m_values=None,
         ms = list(m_values) if m_values is not None else [1, 2, 3, 4, 5]
         if not ms:
             raise ValueError("empty m range")
+        if min(ms) < 0:
+            raise ValueError(f"m must be >= 0, got {min(ms)}")
         return [
             large_angle_rate_curve(n, samples, scale=n / (n + m),
                                    name=f"scaled n={n} m={m}")

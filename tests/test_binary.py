@@ -61,6 +61,33 @@ def test_min_distance_singleton():
     assert binary.BinaryCode(["0101"]).min_distance == 0
 
 
+def test_bits_are_the_sorted_distinct_words():
+    code = binary.BinaryCode(["11", "01", "11", "10"])
+    assert code.bits.dtype == np.uint8 and not code.bits.flags.writeable
+    assert code.bits.tolist() == [[0, 1], [1, 0], [1, 1]]
+    assert code.words == ("01", "10", "11")
+    assert binary.BinaryCode(np.array([[1, 1], [0, 1], [1, 0], [1, 1]])) == code
+    assert binary.BinaryCode(np.array([[True, False]])).words == ("10",)
+
+
+@pytest.mark.parametrize("bits", [np.array([[0, 2]]), np.array([0, 1]), np.array([[0.5, 1]])])
+def test_rejects_bits_other_than_0_and_1(bits):
+    with pytest.raises(ValueError, match="array of 0s and 1s"):
+        binary.BinaryCode(bits)
+
+
+@pytest.mark.parametrize("words", [[""], ["", ""], np.zeros((2, 0), np.uint8)])
+def test_rejects_words_of_length_zero(words):
+    with pytest.raises(ValueError, match="at least one bit"):
+        binary.BinaryCode(words)
+
+
+@pytest.mark.parametrize("words", [[], np.zeros((0, 3), np.uint8)])
+def test_rejects_an_empty_code(words):
+    with pytest.raises(ValueError, match="at least one word"):
+        binary.BinaryCode(words)
+
+
 def test_code_parameters_repetition():
     p = binary.code_parameters(binary.BinaryCode(["000", "111"]))
     assert p.n == 3 and p.d == 3

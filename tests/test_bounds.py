@@ -21,14 +21,21 @@ def test_h_at_pi_over_six_closed_form():
     assert bounds.kl_bound(math.pi / 6) == pytest.approx(expected, abs=1e-12)
 
 
+def high_precision_h(phi):
+    s = mpmath.sin(mpmath.mpf(phi))
+    a = (1 + s) / (2 * s)
+    b = (1 - s) / (2 * s)
+    return float(a * mpmath.log(a, 2) - b * mpmath.log(b, 2))
+
+
+@mpmath.workdps(400)
 def test_h_matches_high_precision_evaluation():
-    mpmath.mp.dps = 50
+    """At small phi both a log2 a and b log2 b are about log2(1/phi)/(2 phi),
+    so their difference needs that many more digits."""
     for phi in (0.2, math.pi / 6, 0.7, 1.2, 1.5):
-        s = mpmath.sin(phi)
-        a = (1 + s) / (2 * s)
-        b = (1 - s) / (2 * s)
-        expected = float(a * mpmath.log(a, 2) - b * mpmath.log(b, 2))
-        assert bounds.kl_bound(phi) == pytest.approx(expected, abs=1e-12)
+        assert bounds.kl_bound(phi) == pytest.approx(high_precision_h(phi), abs=1e-12)
+    for phi in (1e-4, 1e-8, 1e-12, 1e-20, 1e-300, 1e-320):
+        assert bounds.kl_bound(phi) == pytest.approx(high_precision_h(phi), rel=1e-12, abs=0)
 
 
 @given(st.floats(0.01, math.pi / 2 - 0.01))

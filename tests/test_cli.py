@@ -50,6 +50,14 @@ def test_figures_fig3_matches_library(capsys, tmp_path):
                                                           rel=1e-11)
 
 
+@pytest.mark.parametrize("m", ["-2", "-1", "1,2,-3", "-1..2"])
+def test_figures_fig3_rejects_negative_m(capsys, m):
+    rc, out, err = run(capsys, "figures", "--which", "fig3", "--n", "2", f"--m={m}")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: m must be >= 0") and err.count("\n") == 1
+
+
 def test_figures_svg(capsys, tmp_path):
     out_path = tmp_path / "fig2.svg"
     rc, _o, _e = run(capsys, "figures", "--which", "fig2", "--format", "svg",

@@ -1,4 +1,4 @@
-"""The array kernels of geometry, spherical, atlas and packings against loop references.
+"""The array kernels of geometry, spherical, binary, atlas and packings against loop references.
 
 Each ``ref_*`` function is the one-point-at-a-time implementation that the
 array version replaced, kept here verbatim in behaviour.  Where the
@@ -16,6 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphcodes import atlas as atlas_mod
 from sphcodes import binary, bounds, geometry, packings, spherical
@@ -263,6 +265,44 @@ def ref_centers_at_distance(packing, x0, u):
         d = np.sqrt(np.vecdot(centers, centers))
         found.append(centers[np.abs(d - u) <= packings.SHELL_TOL])
     return np.concatenate(found)
+
+
+def ref_binary_code(words):
+    """Sorted distinct words, each checked one character at a time."""
+    ws = sorted(set(words))
+    if not ws:
+        raise ValueError("a code must contain at least one word")
+    n = len(ws[0])
+    for w in ws:
+        if len(w) != n or any(c not in "01" for c in w):
+            raise ValueError(f"word {w!r} is not a bit string of length {n}")
+    return tuple(ws)
+
+
+def ref_spoil1_binary(words, i, f):
+    new_words = []
+    for w in words:
+        bit = f(w)
+        if bit not in ("0", "1"):
+            raise ValueError(f"f is undefined (or non-binary) on word {w!r}")
+        new_words.append(w[:i] + bit + w[i:])
+    return ref_binary_code(new_words)
+
+
+def ref_spoil2_binary(words, i):
+    return ref_binary_code(w[:i] + w[i + 1:] for w in words)
+
+
+def ref_spoil3_binary(words, i, a=None):
+    if a is None:
+        ones = sum(1 for w in words if w[i] == "1")
+        a = "1" if ones > len(words) - ones else "0"
+    return ref_binary_code([w for w in words if w[i] == a])
+
+
+def ref_embed_binary(words):
+    scale = 1.0 / math.sqrt(len(words[0]))
+    return np.array([[scale if c == "0" else -scale for c in w] for w in words])
 
 
 # -- codes --------------------------------------------------------------------
@@ -703,6 +743,51 @@ def test_spoil2_below_peaks_like_one_min_angle_call():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * gram_peak
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.text("01", min_size=n, max_size=n), min_size=1, max_size=40),
+    st.integers(0, n), st.integers(0, n - 1), st.sampled_from("01"))))
+def test_binary_ops_match_string_loops(case):
+    """Duplicated words in any order: the array code and every operation on
+    it against the string loops."""
+    words, insert_at, i, a = case
+    code = binary.BinaryCode(words)
+    ref = ref_binary_code(words)
+    assert code.words == ref == tuple(sorted(set(words)))
+    assert binary.BinaryCode(code.bits) == code
+    assert hash(binary.BinaryCode(code.bits)) == hash(code)
+    for f in (binary.constant("1"), lambda w: str(w.count("1") % 2)):
+        assert binary.spoil1_binary(code, insert_at, f).words == \
+            ref_spoil1_binary(ref, insert_at, f)
+    if code.length >= 2:
+        assert binary.spoil2_binary(code, i).words == ref_spoil2_binary(ref, i)
+    if code.card >= 2:
+        assert binary.spoil3_binary(code, i).words == ref_spoil3_binary(ref, i)
+        pts = binary.embed_binary(code).points
+        assert pts.tobytes() == ref_embed_binary(ref).tobytes()
+    if any(w[i] == a for w in ref):
+        assert binary.spoil3_binary(code, i, a).words == ref_spoil3_binary(ref, i, a)
+
+
+def words_or_error(make, words):
+    try:
+        return make(words)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text("01x", max_size=4), max_size=8))
+def test_binary_code_rejects_words_like_the_string_loop(words):
+    """Bad words raise the message of the per-character check; the empty
+    word, which that check accepted, is rejected."""
+    got = words_or_error(lambda ws: binary.BinaryCode(ws).words, words)
+    if set(words) == {""}:
+        assert got == (ValueError, "words must have at least one bit")
+    else:
+        assert got == words_or_error(ref_binary_code, words)
 
 
 @pytest.mark.parametrize("seed", [0, 3])
