@@ -113,6 +113,8 @@ def figure_curves(which: str, *, n_values=None, n: int = 2, m_values=None,
     fig3: the fig1 curve for dimension ``n`` rescaled by n/(n+m) for each
           m >= 0, the image of m section embeddings.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     if which == "fig1":
         ns = list(n_values) if n_values is not None else list(range(1, 11))
         if not ns:

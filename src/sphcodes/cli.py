@@ -151,9 +151,11 @@ def cmd_theta(args) -> int:
 def cmd_kissing(args) -> int:
     packing = _load_packing_arg(args)
     code = packings.kissing_configuration(packing, args.center)
-    print(f"card {code.card}")
-    print(f"min_angle {_fmt(code.min_angle)}")
-    print(f"density {_fmt(packings.code_density(code))}")
+    # every value is computed before the first line is printed, so that a
+    # failure leaves stdout empty
+    rows = [f"card {code.card}", f"min_angle {_fmt(code.min_angle)}",
+            f"density {_fmt(packings.code_density(code))}"]
+    print("\n".join(rows))
     if args.out:
         _write(args.out, spherical.dump_spherical_code(code))
     return 0

@@ -6,7 +6,8 @@ decomposition of the Gram matrix with per-coordinate interval bounds),
 walked in blocks of points and subject to a configurable node budget.
 Theta series, shell and kissing codes and minimal norms read whole blocks
 of points and values; ``enumerate_quadratic`` is the per-point view of the
-same walk.
+same walk.  Theta series and minimal norms walk only half of the ball
+about 0, since z and -z have the same norm.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ class Lattice:
         bound = float(np.min(np.diag(self.gram)))
         best = bound
         for _z, values in _quadratic_blocks(self.gram, np.zeros(self.dimension),
-                                            bound + 1e-9):
+                                            bound + 1e-9, half=True):
             nonzero = values[values > 1e-12]
             if nonzero.size:
                 best = min(best, float(nonzero.min()))
@@ -81,7 +82,7 @@ class Lattice:
 
 
 def _quadratic_blocks(gram: np.ndarray, center: np.ndarray, bound: float,
-                      budget: int = DEFAULT_POINT_BUDGET):
+                      budget: int = DEFAULT_POINT_BUDGET, *, half: bool = False):
     """Yield (z, values) blocks of the integer z with (z+center)' G (z+center) <= bound.
 
     With G = R'R (R upper triangular) the coordinates are fixed from the
@@ -94,26 +95,42 @@ def _quadratic_blocks(gram: np.ndarray, center: np.ndarray, bound: float,
     array of their quadratic-form values.  Every integer tried for a
     coordinate is a node, pruned or not; more than ``budget`` nodes raise
     BudgetExceeded before they are built.
+
+    ``half`` walks one half of a ball about a zero center: a coordinate
+    whose prefix (the coordinates already fixed) is all zero starts at 0,
+    so the zero row comes once and each other z only if its last nonzero
+    coordinate is positive.  Rounding is sign-symmetric about a zero
+    center, so -z has the bit-identical value of z.  The budget counts
+    the nodes of this half walk.
     """
     gram = np.asarray(gram, dtype=float)
     c = np.asarray(center, dtype=float)
     if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(c))
             and math.isfinite(bound)):
         raise ValueError("enumeration needs a finite Gram matrix, center and bound")
+    if half and np.any(c):
+        raise ValueError("a half walk needs a zero center")
     n = gram.shape[0]
     R = np.linalg.cholesky(gram).T  # upper triangular, G = R'R
     rows = max(1, BLOCK_COORDS // n)
     visited = 0.0  # a float: interval widths can overflow int64
 
-    def frame(i, z, rem, acc):
-        """The prefixes z (coordinates > i fixed) with their intervals for i."""
+    def frame(i, z, rem, acc, zero_first):
+        """The prefixes z (coordinates > i fixed) with their intervals for i.
+
+        ``zero_first``: row 0 of z is the zero prefix of a half walk.  The
+        zero prefix's first child is its zero, never pruned (its term is
+        0), so it stays row 0 of the first block of the next frame.
+        """
         nonlocal visited
         s = np.zeros(len(z))
         for j in range(i + 1, n):
             s = s + R[i, j] * (z[:, j] + c[j])
-        half = np.sqrt(np.maximum(rem, 0.0))
-        lo = np.ceil((-half - s) / R[i, i] - c[i] - 1e-12)
-        hi = np.floor((half - s) / R[i, i] - c[i] + 1e-12)
+        radius = np.sqrt(np.maximum(rem, 0.0))
+        lo = np.ceil((-radius - s) / R[i, i] - c[i] - 1e-12)
+        hi = np.floor((radius - s) / R[i, i] - c[i] + 1e-12)
+        if zero_first:
+            lo[0] = max(lo[0], 0.0)
         width = np.maximum(hi - lo + 1.0, 0.0)
         visited += float(width.sum())
         if visited > budget:
@@ -122,13 +139,14 @@ def _quadratic_blocks(gram: np.ndarray, center: np.ndarray, bound: float,
         ends = np.cumsum(width)
         # node k of the frame is in prefix p = searchsorted(ends, k, "right")
         # and sets coordinate i to k + offset[p]; the last item is the next k
-        return [i, z, rem, acc, s, lo.astype(np.int64) + width - ends, ends, 0]
+        return [i, z, rem, acc, s, lo.astype(np.int64) + width - ends, ends,
+                zero_first, 0]
 
     stack = [frame(n - 1, np.zeros((1, n), dtype=np.int64),
-                   np.array([float(bound)]), np.zeros(1))]
+                   np.array([float(bound)]), np.zeros(1), half)]
     while stack:
         top = stack[-1]
-        i, z, rem, acc, s, offset, ends, done = top
+        i, z, rem, acc, s, offset, ends, zero_first, done = top
         top[-1] = stop = min(int(ends[-1]), done + rows)
         if stop == ends[-1]:
             stack.pop()
@@ -145,7 +163,8 @@ def _quadratic_blocks(gram: np.ndarray, center: np.ndarray, bound: float,
         if i == 0:
             yield z_next, acc[p] + term
         else:
-            stack.append(frame(i - 1, z_next, rem[p] - term, acc[p] + term))
+            stack.append(frame(i - 1, z_next, rem[p] - term, acc[p] + term,
+                               zero_first and done == 0))
 
 
 def enumerate_quadratic(gram: np.ndarray, center: np.ndarray, bound: float,
@@ -187,19 +206,22 @@ def _theta(lattice: Lattice, translates, m_max: float,
     Each (j, k) pair has its own node budget.  The counts are exact: ints
     for one translate (a lattice), Fractions over ell otherwise.  Each
     enumeration block is counted by raw value as it comes, so memory grows
-    with the distinct values, not with the points.
+    with the distinct values, not with the points.  A zero shift walks
+    half the ball: each value counts twice, and the zero vector, which
+    is its own mirror, once.
     """
     if not m_max >= 0:
         raise ValueError("m_max must be >= 0")
     counts = Counter()
     for tj, tk in itertools.product(translates, repeat=2):
         shift = lattice.coords_of(tj - tk)
-        hits = Counter()
+        half = not np.any(shift)
+        hits = Counter({0.0: -1} if half else {})
         for _z, values in _quadratic_blocks(lattice.gram, shift, m_max + 1e-9,
-                                            budget):
+                                            budget, half=half):
             keys, n = np.unique(values, return_counts=True)
             for value, hit in zip(keys.tolist(), n.tolist()):
-                hits[value] += hit
+                hits[value] += 2 * hit if half else hit
         for value, hit in hits.items():  # round each distinct value once
             counts[round(value, NORM_BUCKET_DECIMALS)] += hit
     ell = len(translates)
@@ -314,14 +336,16 @@ def shell_code(packing: PeriodicPacking, x0, u: float,
     (an equality only for special shells; in general the recomputed angle
     can be larger).
     """
-    if u <= 0:
-        raise ValueError("u must be positive")
+    if not 0 < u < math.inf:
+        raise ValueError(f"u must be positive and finite, got {u}")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (packing.lattice.dimension,):
         raise DimensionMismatch(
             f"x0 has {x0.size} coordinates, the lattice dimension is "
             f"{packing.lattice.dimension}"
         )
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("x0 must have finite coordinates")
     centers = _centers_at_distance(packing, x0, u, budget)
     if centers.shape[0] < 2:
         raise ValueError(f"shell at distance {u} has {centers.shape[0]} centers")

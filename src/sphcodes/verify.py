@@ -56,6 +56,11 @@ def verify_bounds(seed: int = 0):
     yield ("controlling regions partition the window", ok)
 
 
+def _sigma(m: int, power: int = 1) -> int:
+    """Sum of d**power over the divisors d of m."""
+    return sum(d ** power for d in range(1, m + 1) if m % d == 0)
+
+
 def verify_packings(seed: int = 0):
     z2 = packings.integer_lattice(2)
     theta = packings.theta_lattice(z2, 5.0)
@@ -64,6 +69,15 @@ def verify_packings(seed: int = 0):
     e8 = packings.e8_lattice()
     yield ("dense 8-dimensional lattice has 240 minimal vectors",
            packings.theta_lattice(e8, 2.0).count(2) == 240)
+    theta = packings.theta_lattice(e8, 8.0)
+    yield ("E8 theta counts N(2m) = 240 sigma_3(m) for m <= 4",
+           theta.norms == [0, 2, 4, 6, 8]
+           and all(theta.count(2 * m) == 240 * _sigma(m, 3) for m in range(1, 5)))
+    theta = packings.theta_lattice(packings.integer_lattice(4), 8.0)
+    yield ("Z^4 theta counts are Jacobi's r_4(m) = 8 sigma(m) - 32 sigma(m/4) for m <= 8",
+           theta.norms == list(range(9))
+           and all(theta.count(m) == 8 * _sigma(m) - (32 * _sigma(m // 4) if m % 4 == 0 else 0)
+                   for m in range(1, 9)))
     hexagonal = packings.touching_packing(packings.hexagonal_lattice())
     kiss = packings.kissing_configuration(hexagonal)
     yield ("hexagonal kissing configuration has 6 points at pi/3",

@@ -58,6 +58,22 @@ def test_figures_fig3_rejects_negative_m(capsys, m):
     assert err.startswith("error: m must be >= 0") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("which", ["fig1", "fig2", "fig3"])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_figures_rejects_samples_below_1(capsys, which, samples):
+    rc, out, err = run(capsys, "figures", "--which", which, f"--samples={samples}")
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: samples must be >= 1, got {samples}\n"
+
+
+@pytest.mark.parametrize("which", ["fig1", "fig2", "fig3"])
+def test_figures_one_sample(capsys, which):
+    rc, out, _err = run(capsys, "figures", "--which", which, "--samples", "1")
+    assert rc == 0
+    assert len(out.splitlines()) == 1 + len(bounds.figure_curves(which, samples=1))
+
+
 def test_figures_svg(capsys, tmp_path):
     out_path = tmp_path / "fig2.svg"
     rc, _o, _e = run(capsys, "figures", "--which", "fig2", "--format", "svg",
@@ -254,6 +270,31 @@ def test_kissing_output(capsys):
     assert "card 6" in out
 
 
+def test_kissing_failure_prints_nothing_to_stdout(capsys, tmp_path):
+    out_path = tmp_path / "kiss.txt"
+    rc, out, err = run(capsys, "kissing", "--lattice", "Z", "--dim", "1",
+                       "--out", str(out_path))
+    assert rc == 1
+    assert out == ""
+    assert err == "error: n must be >= 2\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--u", "nan"], "u must be positive and finite, got nan"),
+    (["--u", "inf"], "u must be positive and finite, got inf"),
+    (["--u=-inf"], "u must be positive and finite, got -inf"),
+    (["--u", "0"], "u must be positive and finite, got 0.0"),
+    (["--u", "1", "--x0", "nan,0"], "x0 must have finite coordinates"),
+    (["--u", "1", "--x0", "0,inf"], "x0 must have finite coordinates"),
+])
+def test_shell_rejects_non_finite_arguments_by_name(capsys, argv, message):
+    rc, out, err = run(capsys, "shell", "--lattice", "Z", "--dim", "2", *argv)
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_shell_output(capsys):
     rc, out, _ = run(capsys, "shell", "--lattice", "Z", "--dim", "2",
                      "--u", str(math.sqrt(2)))
@@ -305,3 +346,12 @@ def test_atlas_budget_zero_is_rejected(capsys, tmp_path):
     assert rc == 1
     assert stdout == "" and not out.exists()
     assert err == "error: budget must be positive\n"
+
+
+def test_verify_packings_checks_theta_closed_forms(capsys):
+    rc, out, _ = run(capsys, "verify", "--suite", "packings")
+    assert rc == 0
+    assert "[FAIL]" not in out
+    assert "[PASS] packings: E8 theta counts N(2m) = 240 sigma_3(m) for m <= 4" in out
+    assert ("[PASS] packings: Z^4 theta counts are Jacobi's r_4(m) = 8 sigma(m) - 32 sigma(m/4)"
+            " for m <= 8") in out

@@ -207,8 +207,12 @@ def ref_envelope(atlas):
     return envelope
 
 
-def ref_enumerate_quadratic(gram, center, bound, budget=10_000_000, nodes=None):
-    """The recursive point-by-point Fincke-Pohst walk; counts nodes into ``nodes``."""
+def ref_enumerate_quadratic(gram, center, bound, budget=10_000_000, nodes=None,
+                            half=False):
+    """The recursive point-by-point Fincke-Pohst walk; counts nodes into ``nodes``.
+
+    With ``half`` a coordinate whose fixed prefix is all zero starts at 0.
+    """
     n = gram.shape[0]
     R = np.linalg.cholesky(gram).T
     c = np.asarray(center, dtype=float)
@@ -220,9 +224,11 @@ def ref_enumerate_quadratic(gram, center, bound, budget=10_000_000, nodes=None):
         s = 0.0
         for j in range(i + 1, n):
             s += R[i, j] * (z[j] + c[j])
-        half = math.sqrt(max(rem, 0.0))
-        lo = math.ceil((-half - s) / R[i, i] - c[i] - 1e-12)
-        hi = math.floor((half - s) / R[i, i] - c[i] + 1e-12)
+        radius = math.sqrt(max(rem, 0.0))
+        lo = math.ceil((-radius - s) / R[i, i] - c[i] - 1e-12)
+        hi = math.floor((radius - s) / R[i, i] - c[i] + 1e-12)
+        if half and not z[i + 1:].any():
+            lo = max(lo, 0)
         for zi in range(lo, hi + 1):
             visited += 1
             if visited > budget:
@@ -895,13 +901,98 @@ def test_block_counts_match_the_point_view(name):
 
 @pytest.mark.parametrize("name", ["E8", "D4", "A2", "E8-12"])
 def test_theta_budget_is_the_node_count(name):
+    # theta walks half the ball about 0, so its budget counts the half walk
     lattice, _translates, m_max = THETA_CASES[name]()
     nodes = []
     list(ref_enumerate_quadratic(lattice.gram, np.zeros(lattice.dimension), m_max + 1e-9,
-                                 nodes=nodes))
+                                 nodes=nodes, half=True))
     packings.theta_lattice(lattice, m_max, budget=nodes[0])
     with pytest.raises(BudgetExceeded):
         packings.theta_lattice(lattice, m_max, budget=nodes[0] - 1)
+
+
+@pytest.mark.parametrize("name", ["E8", "D4", "A2"])
+def test_half_walk_is_the_sign_rule_of_the_full_walk(name):
+    gram, center, bound = ENUMERATIONS[name]()
+    n = gram.shape[0]
+    full_nodes, half_nodes = [], []
+    full = list(ref_enumerate_quadratic(gram, center, bound, nodes=full_nodes))
+    ref = list(ref_enumerate_quadratic(gram, center, bound, nodes=half_nodes, half=True))
+    # the zero row, then each z whose last nonzero coordinate is positive
+    kept = [(z, q) for z, q in full if not z.any() or z[np.flatnonzero(z)[-1]] > 0]
+    assert [(z.tolist(), q) for z, q in ref] == [(z.tolist(), q) for z, q in kept]
+    # every node pairs with its mirror except the 2a + 1 of the n zero-prefix frames
+    assert 2 * half_nodes[0] == full_nodes[0] + n
+    blocks = list(packings._quadratic_blocks(gram, center, bound, budget=half_nodes[0],
+                                             half=True))
+    assert np.array_equal(np.concatenate([z for z, _ in blocks]), [z for z, _ in ref])
+    assert np.array_equal(np.concatenate([v for _, v in blocks]), [q for _, q in ref])
+    with pytest.raises(BudgetExceeded):
+        list(packings._quadratic_blocks(gram, center, bound, budget=half_nodes[0] - 1,
+                                        half=True))
+
+
+def test_half_walk_node_counts_on_e8_to_norm_12():
+    gram, center = packings.e8_lattice().gram, np.zeros(8)
+    counts = []
+    for half in (False, True):
+        nodes = []
+        points = sum(1 for _ in ref_enumerate_quadratic(gram, center, 12 + 1e-9,
+                                                        nodes=nodes, half=half))
+        counts.append((nodes[0], points))
+    assert counts == [(214_038, 117_361), (107_023, 58_681)]
+
+
+def test_half_walk_needs_a_zero_center():
+    with pytest.raises(ValueError, match="zero center"):
+        list(packings._quadratic_blocks(np.eye(2), np.array([0.0, 0.5]), 4.0, half=True))
+
+
+def unimodular(n, rng, ops):
+    """An integer matrix of determinant +-1 made of random row operations."""
+    u = np.eye(n, dtype=np.int64)
+    for _ in range(ops):
+        i, j = rng.choice(n, size=2, replace=False)
+        u[i] += int(rng.integers(-2, 3)) * u[j]
+    return u
+
+
+# (basis, m_max): kept small, since the reference walks one point at a time
+SKEWABLE = {
+    "E8": (lambda: packings.e8_lattice().basis, 4.0),
+    "D4": (lambda: packings.checkerboard_lattice(4).basis, 8.0),
+    "A2": (lambda: packings.hexagonal_lattice().basis, 12.0),
+    "Z4": (lambda: np.eye(4), 6.0),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(SKEWABLE)), st.integers(0, 2**32 - 1), st.integers(0, 8))
+def test_half_walk_theta_matches_the_full_walk_on_skewed_bases(name, seed, ops):
+    basis, m_max = SKEWABLE[name][0](), SKEWABLE[name][1]
+    u = unimodular(basis.shape[0], np.random.default_rng(seed), ops)
+    lattice = packings.Lattice(u @ basis)
+    theta = packings._theta(lattice, [np.zeros(lattice.dimension)], m_max,
+                            packings.DEFAULT_POINT_BUDGET)
+    assert repr(theta.entries) == repr(ref_theta(lattice, [np.zeros(lattice.dimension)],
+                                                 m_max))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1), st.floats(0.0, 6.0))
+def test_half_walk_theta_matches_the_full_walk_on_random_grams(n, seed, m_max):
+    rng = np.random.default_rng(seed)
+    # a random positive-definite Gram matrix, kept away from singular
+    a = rng.standard_normal((n, n))
+    lattice = packings.Lattice(np.linalg.cholesky(a @ a.T + 0.5 * np.eye(n)))
+    theta = packings._theta(lattice, [np.zeros(n)], m_max, packings.DEFAULT_POINT_BUDGET)
+    assert repr(theta.entries) == repr(ref_theta(lattice, [np.zeros(n)], m_max))
+
+
+@pytest.mark.parametrize("name", sorted(SKEWABLE))
+def test_theta_to_norm_0_is_the_zero_vector(name):
+    lattice = packings.Lattice(SKEWABLE[name][0]())
+    assert packings.theta_lattice(lattice, 0.0).entries == ((0.0, 1),)
 
 
 def lattice_outputs():

@@ -238,6 +238,20 @@ def test_missed_guarantee_is_a_domain_error():
         packings.kissing_configuration(packing)
 
 
+@pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_shell_code_rejects_u_outside_the_positive_reals(u):
+    packing = packings.touching_packing(packings.integer_lattice(2))
+    with pytest.raises(ValueError, match="u must be positive and finite"):
+        packings.shell_code(packing, np.zeros(2), u)
+
+
+@pytest.mark.parametrize("x0", [[math.nan, 0.0], [0.0, math.inf]])
+def test_shell_code_rejects_a_non_finite_base_point(x0):
+    packing = packings.touching_packing(packings.integer_lattice(2))
+    with pytest.raises(ValueError, match="x0 must have finite coordinates"):
+        packings.shell_code(packing, x0, 1.0)
+
+
 def test_shell_code_empty_shell():
     packing = packings.touching_packing(packings.integer_lattice(2))
     with pytest.raises(ValueError):
