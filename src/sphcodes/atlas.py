@@ -23,6 +23,7 @@ from .spherical import SphericalCode, SphericalCodePoint
 # growth caps: spoiled codes beyond these sizes are recorded but not re-spoiled
 MAX_DIMENSION = 24
 MAX_CARD = 512
+GRID_CELLS = 1024  # of the envelope's phi grid on [phi_c, pi/2]
 
 
 @dataclass
@@ -91,14 +92,8 @@ def _spoil_once(code: SphericalCode, rng: np.random.Generator) -> SphericalCode 
         return None
 
 
-def atlas_build(
-    seeds: list[SphericalCode] | None,
-    cutoff: CutoffRegion,
-    budget: int = 10_000,
-    *,
-    seed: int = 0,
-    grid_cells: int = 1024,
-) -> Atlas:
+def atlas_build(seeds: list[SphericalCode] | None, cutoff: CutoffRegion,
+                budget: int = 10_000, *, seed: int = 0) -> Atlas:
     """Spoil the seeds within an operation budget and build the envelope.
 
     Every generated code point is recorded.  Anchors used for domination
@@ -145,7 +140,7 @@ def atlas_build(
                 and pt.rate <= kl_bound(phi) + 1e-9:
             atlas.dominated_anchors.append(pt)
 
-    atlas.phi_grid = np.linspace(cutoff.phi_c, math.pi / 2, grid_cells)
+    atlas.phi_grid = np.linspace(cutoff.phi_c, math.pi / 2, GRID_CELLS)
     atlas.envelope = envelope(atlas.dominated_anchors, cutoff, atlas.phi_grid)
     return atlas
 

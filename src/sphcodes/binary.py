@@ -239,18 +239,19 @@ class ConeSet:
         p = self.anchor
         return 0.0, p.delta / (1.0 - p.rate)
 
-    def membership(self, q: tuple[float, float], eps: float = 1e-12) -> str:
+    def membership(self, q: tuple[float, float]) -> str:
         """Classify a point of the square: 'U', 'D', 'L', 'R' or 'boundary'.
 
         D is the cone containing the origin; crossing I1 from D enters R,
-        crossing I2 enters L, and U is opposite D.
+        crossing I2 enters L, and U is opposite D; 'boundary' is a signed
+        area (anchor, a line's fixed point, q) within EPS_REGION of 0.
         """
         p = (self.anchor.rate, self.anchor.delta)
         s1 = _side(p, (0.0, 1.0), q)
         s2 = _side(p, (1.0, 0.0), q)
         o1 = _side(p, (0.0, 1.0), (0.0, 0.0))
         o2 = _side(p, (1.0, 0.0), (0.0, 0.0))
-        if abs(s1) <= eps or abs(s2) <= eps:
+        if abs(s1) <= geometry.EPS_REGION or abs(s2) <= geometry.EPS_REGION:
             return "boundary"
         same1 = (s1 > 0) == (o1 > 0)
         same2 = (s2 > 0) == (o2 > 0)

@@ -162,7 +162,8 @@ class CutoffRegion:
     def cos_phi_c(self) -> float:
         return math.cos(self.phi_c)
 
-    def contains(self, cos_phi: float, rate: float, eps: float = 1e-12) -> bool:
+    def contains(self, cos_phi: float, rate: float) -> bool:
+        eps = geometry.EPS_REGION
         return (-eps <= cos_phi <= self.cos_phi_c + eps
                 and -eps <= rate <= self.rate_cap + eps)
 
@@ -222,16 +223,17 @@ class ControllingRegions:
         """Line through the cutoff corner and the anchor; ``x`` may be an array."""
         return anchor_line2(*self.anchor, self.cutoff, x)
 
-    def membership(self, q: tuple[float, float], eps: float = 1e-12) -> str:
+    def membership(self, q: tuple[float, float]) -> str:
         """Classify a window point as 'U', 'D', 'L', 'R' or 'boundary'.
 
         D = below both lines (the spoiling-descendant region), U = above
-        both, L = below line1 and above line2, R = the opposite pair.
+        both, L = below line1 and above line2, R = the opposite pair, and
+        'boundary' within EPS_REGION of a line.
         """
         x, y = float(q[0]), float(q[1])
         d1 = y - self.line1(x)
         d2 = y - self.line2(x)
-        if abs(d1) <= eps or abs(d2) <= eps:
+        if abs(d1) <= geometry.EPS_REGION or abs(d2) <= geometry.EPS_REGION:
             return "boundary"
         if d1 < 0 and d2 < 0:
             return "D"
@@ -245,11 +247,6 @@ class ControllingRegions:
         """Upper edge of region D at abscissa x, clipped to [0, rate_cap]."""
         val = min(self.line1(x), self.line2(x))
         return min(max(val, 0.0), self.cutoff.rate_cap)
-
-
-def controlling_regions(anchor: tuple[float, float],
-                        cutoff: CutoffRegion) -> ControllingRegions:
-    return ControllingRegions(anchor, cutoff)
 
 
 def controlling_quadrangle(p1: tuple[float, float], p2: tuple[float, float],

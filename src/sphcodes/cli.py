@@ -17,11 +17,8 @@ import numpy as np
 
 from . import atlas as atlas_mod
 from . import binary, bounds, emit, geometry, packings, spherical, verify
+from .emit import fmt
 from .errors import SphCodesError
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def _write(path: str | None, text: str) -> None:
@@ -29,6 +26,16 @@ def _write(path: str | None, text: str) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
+
+
+def _print_with_code(rows: list[str], code: spherical.SphericalCode, path: str | None) -> None:
+    """Print ``rows`` and write ``code`` to ``path`` if given: a file before
+    the rows, so that a failed write prints nothing, and "-" after them."""
+    if path and path != "-":
+        _write(path, spherical.dump_spherical_code(code))
+    print("\n".join(rows))
+    if path == "-":
+        _write(path, spherical.dump_spherical_code(code))
 
 
 def _line_arg(text: str) -> spherical.LineThroughOrigin:
@@ -42,7 +49,7 @@ def _line_arg(text: str) -> spherical.LineThroughOrigin:
 def _load_packing_arg(args) -> packings.PeriodicPacking:
     if args.lattice_file:
         return packings.load_packing(Path(args.lattice_file).read_text())
-    lat = packings.lattice_by_name(args.lattice, getattr(args, "dim", None))
+    lat = packings.lattice_by_name(args.lattice, args.dim)
     return packings.touching_packing(lat)
 
 
@@ -51,7 +58,7 @@ def _load_packing_arg(args) -> packings.PeriodicPacking:
 # ---------------------------------------------------------------------------
 
 def cmd_bounds(args) -> int:
-    rows = ["phi,cos_phi,R,curve"]
+    rows = [emit.CSV_HEADER]
     if args.phi is not None:
         phis = [args.phi]
     else:
@@ -64,7 +71,7 @@ def cmd_bounds(args) -> int:
         else:
             _card, r = bounds.rankin_curve(args.n, phi)
             name = f"rankin n={args.n}"
-        rows.append(f"{_fmt(phi)},{_fmt(math.cos(phi))},{_fmt(r)},{name}")
+        rows.append(emit.csv_row(phi, math.cos(phi), r, name))
     _write(args.out, "\n".join(rows) + "\n")
     return 0
 
@@ -97,9 +104,9 @@ def cmd_embed(args) -> int:
     sph = binary.embed_binary(code)
     _write(args.out, spherical.dump_spherical_code(sph))
     pt = binary.code_parameters(code)
-    print(f"# [n,k,d] = [{pt.n},{_fmt(pt.k)},{pt.d}] "
-          f"R={_fmt(pt.rate)} delta={_fmt(pt.delta)} "
-          f"cos_phi={_fmt(sph.cos_min_angle)}", file=sys.stderr)
+    print(f"# [n,k,d] = [{pt.n},{fmt(pt.k)},{pt.d}] "
+          f"R={fmt(pt.rate)} delta={fmt(pt.delta)} "
+          f"cos_phi={fmt(sph.cos_min_angle)}", file=sys.stderr)
     return 0
 
 
@@ -116,19 +123,17 @@ def cmd_spoil(args) -> int:
             line, sign, _c = spherical.find_balanced_line(code, seed=args.seed)
         if args.op == "2":
             out, xi = spherical.spoil2(code, line)
-            print(f"# xi={_fmt(xi)} u={_fmt(spherical.xi_to_u(xi))}",
+            print(f"# xi={fmt(xi)} u={fmt(spherical.xi_to_u(xi))}",
                   file=sys.stderr)
         else:
             out = spherical.spoil3(code, line, sign)
     elif args.op == "up":
         out = spherical.composite_spoil_up(code)
-    elif args.op == "down":
+    else:  # "down"
         out = spherical.composite_spoil_down(code, args.phi_c, seed=args.seed)
-    else:
-        raise SphCodesError(f"unknown op {args.op}")
     _write(args.out, spherical.dump_spherical_code(out))
     print(f"# result n={out.dimension} card={out.card} "
-          f"cos_phi={_fmt(out.cos_min_angle)}", file=sys.stderr)
+          f"cos_phi={fmt(out.cos_min_angle)}", file=sys.stderr)
     return 0
 
 
@@ -143,7 +148,7 @@ def cmd_theta(args) -> int:
     coeffs = packings.theta_periodic(_load_packing_arg(args), args.m_max)
     rows = ["m,count"]
     for m, cnt in coeffs.entries:
-        rows.append(f"{_fmt(m)},{cnt}")
+        rows.append(f"{fmt(m)},{cnt}")
     _write(args.out, "\n".join(rows) + "\n")
     return 0
 
@@ -153,11 +158,9 @@ def cmd_kissing(args) -> int:
     code = packings.kissing_configuration(packing, args.center)
     # every value is computed before the first line is printed, so that a
     # failure leaves stdout empty
-    rows = [f"card {code.card}", f"min_angle {_fmt(code.min_angle)}",
-            f"density {_fmt(packings.code_density(code))}"]
-    print("\n".join(rows))
-    if args.out:
-        _write(args.out, spherical.dump_spherical_code(code))
+    rows = [f"card {code.card}", f"min_angle {fmt(code.min_angle)}",
+            f"density {fmt(packings.code_density(code))}"]
+    _print_with_code(rows, code, args.out)
     return 0
 
 
@@ -167,11 +170,10 @@ def cmd_shell(args) -> int:
     if args.x0:
         x0 = np.asarray([float(t) for t in args.x0.split(",")])
     code, cert = packings.shell_code(packing, x0, args.u)
-    print(f"card {cert['card']}")
-    print(f"guaranteed_min_angle {_fmt(cert['guaranteed_min_angle'])}")
-    print(f"recomputed_min_angle {_fmt(cert['recomputed_min_angle'])}")
-    if args.out:
-        _write(args.out, spherical.dump_spherical_code(code))
+    rows = [f"card {cert['card']}",
+            f"guaranteed_min_angle {fmt(cert['guaranteed_min_angle'])}",
+            f"recomputed_min_angle {fmt(cert['recomputed_min_angle'])}"]
+    _print_with_code(rows, code, args.out)
     return 0
 
 
@@ -179,22 +181,22 @@ def cmd_density(args) -> int:
     if args.code:
         code = spherical.load_spherical_code(Path(args.code).read_text(),
                                              normalize=args.normalize)
-        print(f"code_density {_fmt(packings.code_density(code))}")
+        print(f"code_density {fmt(packings.code_density(code))}")
         return 0
     if args.lattice_file or args.lattice:
         packing = _load_packing_arg(args)
-        print(f"packing_density {_fmt(packings.packing_density(packing))}")
+        print(f"packing_density {fmt(packings.packing_density(packing))}")
         return 0
     # every value is computed before the first line is printed, so that a
     # failure leaves stdout empty
     est, label = packings.estimate_max_points(args.n, args.phi)
-    rows = [f"max_points_estimate {_fmt(est)} ({label})",
-            f"max_code_density {_fmt(packings.max_code_density(args.n, args.phi, est))}"]
+    rows = [f"max_points_estimate {fmt(est)} ({label})",
+            f"max_code_density {fmt(packings.max_code_density(args.n, args.phi, est))}"]
     if args.phi >= math.pi / 3:
         def upper(nn, pp):
             return packings.estimate_max_points(nn, pp)[0]
         b31, b32 = packings.density_bounds(args.n, args.phi, upper)
-        rows += [f"packing_bound_embed {_fmt(b31)}", f"packing_bound_proj {_fmt(b32)}"]
+        rows += [f"packing_bound_embed {fmt(b31)}", f"packing_bound_proj {fmt(b32)}"]
     print("\n".join(rows))
     return 0
 

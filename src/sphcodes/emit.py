@@ -6,45 +6,48 @@ import numpy as np
 
 from .bounds import BoundCurve
 
+CSV_HEADER = "phi,cos_phi,R,curve"
 SVG_PALETTE = [
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
 ]
 
 
-def curves_to_csv(curves: list[BoundCurve], digits: int = 12) -> str:
+def fmt(x: float) -> str:
+    """A human-facing number: 12 significant digits."""
+    return f"{x:.12g}"
+
+
+def csv_row(phi: float, cos_phi: float, rate: float, name: str) -> str:
+    """One curve sample as a CSV row."""
+    return f"{fmt(phi)},{fmt(cos_phi)},{fmt(rate)},{name}"
+
+
+def curves_to_csv(curves: list[BoundCurve]) -> str:
     """Rows "phi,cos_phi,R,curve", one per sample."""
     if not curves:
         raise ValueError("no curves to emit")
-    lines = ["phi,cos_phi,R,curve"]
+    lines = [CSV_HEADER]
     for curve in curves:
-        for phi, r in zip(curve.phi, curve.rate):
-            c = np.cos(phi)
-            lines.append(
-                f"{phi:.{digits}g},{c:.{digits}g},{r:.{digits}g},{curve.name}"
-            )
+        lines += [csv_row(phi, np.cos(phi), r, curve.name)
+                  for phi, r in zip(curve.phi, curve.rate)]
     return "\n".join(lines) + "\n"
 
 
-def curves_to_svg(curves: list[BoundCurve], *, x_axis: str = "cos_phi",
-                  width: int = 640, height: int = 480) -> str:
-    """Single plot with one polyline per curve and a small legend."""
+def curves_to_svg(curves: list[BoundCurve]) -> str:
+    """A 640x480 plot of R against cos phi: one polyline per curve and a
+    small legend."""
     if not curves:
         raise ValueError("no curves to emit")
-    margin = 56
-    xs_all, ys_all = [], []
+    width, height, margin = 640, 480, 56
     series = []
     for curve in curves:
-        xs = curve.cos_phi if x_axis == "cos_phi" else curve.phi
-        ys = curve.rate
-        ok = np.isfinite(ys)
-        series.append((curve.name, np.asarray(xs)[ok], np.asarray(ys)[ok]))
-        xs_all.append(np.asarray(xs)[ok])
-        ys_all.append(np.asarray(ys)[ok])
-    x_min = min(float(np.min(x)) for x in xs_all)
-    x_max = max(float(np.max(x)) for x in xs_all)
-    y_min = min(0.0, min(float(np.min(y)) for y in ys_all))
-    y_max = max(float(np.max(y)) for y in ys_all)
+        ok = np.isfinite(curve.rate)
+        series.append((curve.name, curve.cos_phi[ok], curve.rate[ok]))
+    x_min = min(float(np.min(xs)) for _, xs, _ in series)
+    x_max = max(float(np.max(xs)) for _, xs, _ in series)
+    y_min = min(0.0, min(float(np.min(ys)) for _, _, ys in series))
+    y_max = max(float(np.max(ys)) for _, _, ys in series)
     if x_max == x_min:
         x_max = x_min + 1.0
     if y_max == y_min:
@@ -56,7 +59,6 @@ def curves_to_svg(curves: list[BoundCurve], *, x_axis: str = "cos_phi",
     def sy(y):
         return height - margin - (y - y_min) / (y_max - y_min) * (height - 2 * margin)
 
-    x_label = "cos phi" if x_axis == "cos_phi" else "phi"
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
@@ -65,7 +67,7 @@ def curves_to_svg(curves: list[BoundCurve], *, x_axis: str = "cos_phi",
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
         f'y2="{height - margin}" stroke="black"/>',
         f'<text x="{width // 2}" y="{height - 12}" text-anchor="middle" '
-        f'font-size="14">{x_label}</text>',
+        f'font-size="14">cos phi</text>',
         f'<text x="16" y="{height // 2}" text-anchor="middle" font-size="14" '
         f'transform="rotate(-90 16 {height // 2})">R</text>',
         f'<text x="{margin}" y="{height - margin + 16}" font-size="11">'

@@ -34,7 +34,7 @@ class SearchBudgetExhausted(SphCodesError):
 
 
 class BudgetExceeded(SphCodesError):
-    """An enumeration exceeded its configured point budget."""
+    """An enumeration visited more nodes than its budget allows."""
 
 
 class InputFormatError(SphCodesError):

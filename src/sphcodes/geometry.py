@@ -22,6 +22,8 @@ EPS_NORM = 1e-9
 # Tolerance for angle comparisons: two points of a code whose chord is below
 # it coincide.
 EPS_ANGLE = 1e-9
+# Slack of the cutoff window's edges and of the region and cone boundaries.
+EPS_REGION = 1e-12
 # Next to 1, arccos of a Gram entry resolves angles only to about 1.5e-8, so
 # the pairs closer than NEAR_ANGLE, those of chord below NEAR_CHORD, are
 # measured by their chord.  For rows within EPS_NORM of the unit norm such a
@@ -37,18 +39,18 @@ NEAR_GRAM = 1.0 - 1e-8
 BLOCK_ENTRIES = 1 << 16
 
 
-def as_unit(coords, eps: float = EPS_UNIT) -> np.ndarray:
+def as_unit(coords) -> np.ndarray:
     """Validate and return a unit vector as a float64 array.
 
-    Raises ValueError if the norm deviates from 1 by more than ``eps``
+    Raises ValueError if the norm deviates from 1 by more than EPS_UNIT
     (a non-finite norm included) or the dimension is < 1.
     """
     v = np.asarray(coords, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise ValueError("unit vector must be a 1-d array of dimension >= 1")
     nrm = float(np.linalg.norm(v))
-    if not abs(nrm - 1.0) <= eps:  # written so that a nan norm fails too
-        raise ValueError(f"vector norm {nrm!r} is not within {eps} of 1")
+    if not abs(nrm - 1.0) <= EPS_UNIT:  # written so that a nan norm fails too
+        raise ValueError(f"vector norm {nrm!r} is not within {EPS_UNIT} of 1")
     return v
 
 

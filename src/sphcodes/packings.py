@@ -27,6 +27,7 @@ from .spherical import SphericalCode, format_rows, keyword_value, number_rows, r
 
 NORM_BUCKET_DECIMALS = 9   # norms bucketed to 1e-9
 SHELL_TOL = 1e-9
+# Nodes of one enumeration walk: every integer tried for a coordinate.
 DEFAULT_POINT_BUDGET = 10_000_000
 # Enumeration blocks hold at most this many integer coordinates: a 128 KiB
 # int64 block.  E8 theta to norm 12 is 1.8x faster than at 1 << 12, and
@@ -134,7 +135,7 @@ def _quadratic_blocks(gram: np.ndarray, center: np.ndarray, bound: float,
         width = np.maximum(hi - lo + 1.0, 0.0)
         visited += float(width.sum())
         if visited > budget:
-            raise BudgetExceeded(f"enumeration exceeded {budget} points")
+            raise BudgetExceeded(f"enumeration exceeded {budget} nodes")
         width = width.astype(np.int64)
         ends = np.cumsum(width)
         # node k of the frame is in prefix p = searchsorted(ends, k, "right")
@@ -184,15 +185,15 @@ class ThetaCoefficients:
 
     entries: tuple
 
-    def count(self, m: float, tol: float = 1e-9):
-        """Total count of every bucket within ``tol`` of ``m``.
+    def count(self, m: float):
+        """Total count of every bucket within one bucket width, 1e-9, of ``m``.
 
         Equal norms can round into neighbouring buckets (4 and 4.000000001).
         A key is the double nearest a multiple of 1e-9, so the distance may
-        exceed ``tol`` by one unit in the last place.
+        exceed 1e-9 by one unit in the last place.
         """
         return sum((cnt for norm, cnt in self.entries
-                    if abs(norm - m) <= tol + math.ulp(max(abs(norm), abs(m)))), 0)
+                    if abs(norm - m) <= 1e-9 + math.ulp(max(abs(norm), abs(m)))), 0)
 
     @property
     def norms(self):
@@ -589,13 +590,13 @@ def dump_packing(packing: PeriodicPacking) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_packing(text: str, default_radius: float | None = None) -> PeriodicPacking:
+def load_packing(text: str) -> PeriodicPacking:
     """Parse "dim n", n basis rows, optional translates and radius sections.
 
-    Without a radius (here or as ``default_radius``) the spheres touch.
+    Without a radius the spheres touch.
     """
     dim, lines = read_dim(text, "incomplete basis")
-    rows, radius, translates, error = [], default_radius, 0, None
+    rows, radius, translates, error = [], None, 0, None
     try:
         for lineno, parts in lines:
             if parts[0] == "translates":

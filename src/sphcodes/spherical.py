@@ -231,6 +231,13 @@ def spoil3(code: SphericalCode, line: LineThroughOrigin, sign: int) -> Spherical
     return SphericalCode(code.points[mask], check_distinct=False)
 
 
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """The rows of ``v`` whose norm exceeds EPS_UNIT, each divided by its norm."""
+    nrm = np.sqrt(np.vecdot(v, v))
+    keep = nrm > EPS_UNIT
+    return v[keep] / nrm[keep, None]
+
+
 def _midpoint_blocks(pts: np.ndarray, rows: int):
     """The normalized midpoints of the pairs i < j in lexicographic order,
     skipping those of norm <= EPS_UNIT, the pairs of about ``rows // card``
@@ -239,20 +246,17 @@ def _midpoint_blocks(pts: np.ndarray, rows: int):
     step = max(1, rows // card)  # first points of the pairs in one block
     for i in range(0, card - 1, step):
         ii, jj = np.nonzero(np.arange(card) > np.arange(i, min(i + step, card))[:, None])
-        mid = pts[ii + i] + pts[jj]
-        nrm = np.sqrt(np.vecdot(mid, mid))
-        yield mid[nrm > EPS_UNIT] / nrm[nrm > EPS_UNIT, None]
+        yield _unit_rows(pts[ii + i] + pts[jj])
 
 
 def _random_blocks(n: int, seed: int, rows: int):
     """Unit directions from ``default_rng(seed)``, as one at a time would
-    draw them, in blocks of 16 rows that double up to ``rows``: the first
+    draw them, in blocks of 16 draws that double up to ``rows``: the first
     few directions usually split, so the first blocks are kept small."""
     rng = np.random.default_rng(seed)
     size = min(16, rows)
     while True:
-        v = rng.standard_normal((size, n))
-        yield v / np.sqrt(np.vecdot(v, v))[:, None]
+        yield _unit_rows(rng.standard_normal((size, n)))
         size = min(2 * size, rows)
 
 
@@ -401,29 +405,24 @@ def _solve_lambda(target_cos: float, current_cos: float) -> float:
     return lam
 
 
-def _generic_projection_line(
-    code: SphericalCode, rng: np.random.Generator, trials: int = 64
-) -> np.ndarray:
+def _generic_projection_line(code: SphericalCode, rng: np.random.Generator) -> np.ndarray:
     """Candidate unit directions for spoil2 inside composite pipelines, as rows.
 
-    Bisectors of point pairs push the minimum-angle cosine down (the two
-    points project to nearly antipodal rays); random directions keep it
-    roughly unchanged.  The normalized centroid comes last: projecting m
+    Bisectors of up to 32 point pairs, the closest pair first, push the
+    minimum-angle cosine down (the two points project to nearly antipodal
+    rays); random directions, enough to make 64 candidates, keep it roughly
+    unchanged.  The normalized centroid comes last: projecting m
     orthonormal points off it leaves a regular simplex, cos phi = -1/(m-1).
     All candidates whose residual |x|^2 - <x, d>^2 exceeds EPS_UNIT at every
     point are returned, in that order.
     """
     first = code.min_angle_pair
     rest = (p for p in itertools.combinations(range(code.card), 2) if p != first)
-    a, b = np.array(list(itertools.islice(itertools.chain([first], rest), trials // 2))).T
-    mids = code.points[a] + code.points[b]
-    nrm = np.sqrt(np.vecdot(mids, mids))
-    mids = mids[nrm > EPS_UNIT] / nrm[nrm > EPS_UNIT, None]
-    draws = rng.standard_normal((trials - mids.shape[0], code.dimension))
+    a, b = np.array(list(itertools.islice(itertools.chain([first], rest), 32))).T
+    mids = _unit_rows(code.points[a] + code.points[b])
+    draws = rng.standard_normal((64 - mids.shape[0], code.dimension))
     centroid = code.points.mean(axis=0, keepdims=True)
-    nrm = np.sqrt(np.vecdot(centroid, centroid))
-    dirs = np.vstack([mids, draws / np.sqrt(np.vecdot(draws, draws))[:, None],
-                      centroid[nrm > EPS_UNIT] / nrm[nrm > EPS_UNIT, None]])
+    dirs = np.vstack([mids, _unit_rows(draws), _unit_rows(centroid)])
     comps = dirs @ code.points.T
     sq = np.vecdot(code.points, code.points)
     return dirs[np.min(sq - comps * comps, axis=1) > EPS_UNIT]
@@ -550,17 +549,15 @@ def composite_spoil_up(code: SphericalCode) -> SphericalCode:
     return spoil1_lambda(code, n / (n + 1))
 
 
-def composite_spoil_down(
-    code: SphericalCode, phi_c: float, *, subcode_steps: int | None = None, seed: int = 0
-) -> SphericalCode:
+def composite_spoil_down(code: SphericalCode, phi_c: float, *, seed: int = 0) -> SphericalCode:
     """Pipeline to parameters [n-1, k-a_c, n/(n-1) cos - cos(phi_c)/(n-1)].
 
-    ``a_c`` defaults to floor(H(phi_c)) computed by the bounds module; the
-    code must have phi > phi_c, k >= a_c, and enough room for the final
-    lambda solve to land in [0, 1] (checked at runtime).
+    ``a_c`` is floor(H(phi_c)); the code must have phi > phi_c, k >= a_c,
+    and enough room for the final lambda solve to land in [0, 1] (checked
+    at runtime).
     """
     n = code.dimension
-    a_c = subcode_steps if subcode_steps is not None else int(np.floor(kl_bound(phi_c)))
+    a_c = int(np.floor(kl_bound(phi_c)))
     if code.min_angle <= phi_c:
         raise ValueError(
             f"violated precondition phi > phi_c: {code.min_angle:.6g} <= {phi_c:.6g}"

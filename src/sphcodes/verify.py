@@ -45,7 +45,7 @@ def verify_bounds(seed: int = 0):
     yield ("simplex attains the large-angle cardinality bound",
            abs(card_bound - simplex.card) < 1e-6)
     cutoff = bounds.CutoffRegion(0.5)
-    regs = bounds.controlling_regions((0.4, 0.3), cutoff)
+    regs = bounds.ControllingRegions((0.4, 0.3), cutoff)
     rng = np.random.default_rng(seed)
     ok = True
     for _ in range(200):

@@ -171,6 +171,18 @@ def test_cone_membership_quadrants():
     assert e2 == (0.0, pytest.approx(0.5))
 
 
+def test_cone_boundary_slack_is_1e12():
+    cones = binary.controlling_cones(
+        binary.BinaryCodePoint(rate=0.75, delta=0.5, n=8, k=6, d=2))
+    # the signed area from L1 of (t, 1) is exactly -t/2, and from L2 of
+    # (1, s) exactly s/4: 2^-40 is 9.1e-13 and 2^-39 is 1.8e-12
+    assert cones.membership((2.0 ** -39, 1.0)) == "boundary"
+    assert cones.membership((2.0 ** -38, 1.0)) == "R"
+    assert cones.membership((1.0, 2.0 ** -38)) == "boundary"
+    assert cones.membership((1.0, -(2.0 ** -38))) == "boundary"
+    assert cones.membership((1.0, 2.0 ** -37)) == "L"
+
+
 def test_cone_partition_random_points():
     rng = np.random.default_rng(7)
     p = binary.BinaryCodePoint(rate=0.4, delta=0.3, n=10, k=4, d=3)

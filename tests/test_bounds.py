@@ -140,6 +140,28 @@ def test_cutoff_region_values():
     assert not cut.contains(0.3, cut.rate_cap + 1)
 
 
+def test_cutoff_window_edges_have_slack_1e12():
+    # the atlas admits anchors at cos phi = -1e-12, just past pi/2
+    cut = bounds.CutoffRegion(0.4)
+    assert cut.contains(-1e-12, 0.5) and cut.contains(0.5, -1e-12)
+    assert not cut.contains(-2e-12, 0.5)
+    assert not cut.contains(0.5, -2e-12)
+
+
+def test_region_boundary_slack_is_1e12():
+    cut = bounds.CutoffRegion(0.4)  # a_c = 1
+    regs = bounds.ControllingRegions((0.25, 0.5), cut)
+    # line1(-1) and line2(cos phi_c) = a_c are exact, and so is y minus them
+    for y in (1e-12, -1e-12):
+        assert regs.membership((-1.0, y)) == "boundary"
+    assert regs.membership((-1.0, 2e-12)) == "U"
+    assert regs.membership((-1.0, -2e-12)) == "L"
+    for t in (2.0 ** -40, -(2.0 ** -40)):  # 9.1e-13
+        assert regs.membership((cut.cos_phi_c, 1.0 + t)) == "boundary"
+    assert regs.membership((cut.cos_phi_c, 1.0 + 2.0 ** -39)) == "U"  # 1.8e-12
+    assert regs.membership((cut.cos_phi_c, 1.0 - 2.0 ** -39)) == "R"
+
+
 def test_cutoff_rate_cap_is_computed_once(monkeypatch):
     calls = []
     real = bounds.kl_bound
@@ -154,7 +176,7 @@ def test_cutoff_rate_cap_is_computed_once(monkeypatch):
 
 def test_regions_partition_window():
     cut = bounds.CutoffRegion(0.5)
-    regs = bounds.controlling_regions((0.4, 0.6), cut)
+    regs = bounds.ControllingRegions((0.4, 0.6), cut)
     rng = np.random.default_rng(0)
     seen = set()
     for _ in range(2000):
@@ -169,7 +191,7 @@ def test_regions_partition_window():
 def test_region_boundary_lines_through_anchor():
     cut = bounds.CutoffRegion(0.5)
     anchor = (0.3, 0.7)
-    regs = bounds.controlling_regions(anchor, cut)
+    regs = bounds.ControllingRegions(anchor, cut)
     assert regs.line1(anchor[0]) == pytest.approx(anchor[1], abs=1e-12)
     assert regs.line2(anchor[0]) == pytest.approx(anchor[1], abs=1e-12)
     assert regs.line1(-1.0) == pytest.approx(0.0, abs=1e-12)
@@ -180,7 +202,7 @@ def test_region_boundary_lines_through_anchor():
 def test_region_lines_on_an_array_match_scalar_calls(anchor_x):
     cut = bounds.CutoffRegion(0.5)
     # None: the anchor sits on the cutoff edge, where line2 is vertical
-    regs = bounds.controlling_regions(
+    regs = bounds.ControllingRegions(
         (cut.cos_phi_c if anchor_x is None else anchor_x, 0.7), cut)
     xs = np.linspace(0.0, cut.cos_phi_c, 33)
     for line in (regs.line1, regs.line2):
@@ -189,7 +211,7 @@ def test_region_lines_on_an_array_match_scalar_calls(anchor_x):
 
 def test_lower_boundary_clipped():
     cut = bounds.CutoffRegion(0.5)
-    regs = bounds.controlling_regions((0.4, 0.6), cut)
+    regs = bounds.ControllingRegions((0.4, 0.6), cut)
     for x in np.linspace(0, cut.cos_phi_c, 64):
         v = regs.lower_boundary(float(x))
         assert 0.0 <= v <= cut.rate_cap
@@ -205,8 +227,8 @@ def test_quadrangle_symmetry():
              float(rng.uniform(0.01, cut.rate_cap - 0.01)))
         q = (float(rng.uniform(0.01, cut.cos_phi_c - 0.01)),
              float(rng.uniform(0.01, cut.rate_cap - 0.01)))
-        rp = bounds.controlling_regions(p, cut)
-        rq = bounds.controlling_regions(q, cut)
+        rp = bounds.ControllingRegions(p, cut)
+        rq = bounds.ControllingRegions(q, cut)
         lp, lq = rp.membership(q), rq.membership(p)
         if lp == "boundary" or lq == "boundary":
             continue
@@ -220,8 +242,8 @@ def test_quadrangle_membership():
     p1 = (0.2, 0.3)
     p2 = (0.6, 0.9)
     member = bounds.controlling_quadrangle(p1, p2, cut)
-    r1 = bounds.controlling_regions(p1, cut)
-    r2 = bounds.controlling_regions(p2, cut)
+    r1 = bounds.ControllingRegions(p1, cut)
+    r2 = bounds.ControllingRegions(p2, cut)
     rng = np.random.default_rng(9)
     for _ in range(500):
         q = (float(rng.uniform(0, cut.cos_phi_c)),
@@ -234,4 +256,4 @@ def test_quadrangle_membership():
 def test_anchor_outside_window_rejected():
     cut = bounds.CutoffRegion(0.5)
     with pytest.raises(ValueError):
-        bounds.controlling_regions((0.95, 0.1), cut)
+        bounds.ControllingRegions((0.95, 0.1), cut)

@@ -261,7 +261,7 @@ def test_theta_over_budget_fails_fast(capsys):
     rc, out, err = run(capsys, "theta", "--lattice", "E8", "--m-max", "1e9")
     assert time.perf_counter() - start < 10
     assert rc == 1 and out == ""
-    assert err.startswith("error: enumeration exceeded ")
+    assert err == "error: enumeration exceeded 10000000 nodes\n"
 
 
 def test_kissing_output(capsys):
@@ -278,6 +278,25 @@ def test_kissing_failure_prints_nothing_to_stdout(capsys, tmp_path):
     assert out == ""
     assert err == "error: n must be >= 2\n"
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [["kissing", "--lattice", "A2"],
+                                  ["shell", "--lattice", "A2", "--u", "1"]])
+def test_unwritable_out_prints_nothing_to_stdout(capsys, tmp_path, argv):
+    out_path = tmp_path / "missing" / "code.txt"
+    rc, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert rc == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["kissing", "--lattice", "A2"],
+                                  ["shell", "--lattice", "A2", "--u", "1"]])
+def test_out_dash_prints_the_code_after_the_result_lines(capsys, argv):
+    rc, out, _ = run(capsys, *argv, "--out", "-")
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[0] == "card 6" and lines[3] == "dim 2" and len(lines) == 10
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -232,7 +232,7 @@ def ref_enumerate_quadratic(gram, center, bound, budget=10_000_000, nodes=None,
         for zi in range(lo, hi + 1):
             visited += 1
             if visited > budget:
-                raise BudgetExceeded(f"enumeration exceeded {budget} points")
+                raise BudgetExceeded(f"enumeration exceeded {budget} nodes")
             z[i] = zi
             term = (R[i, i] * (zi + c[i]) + s) ** 2
             if term > rem + 1e-9:
