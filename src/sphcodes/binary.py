@@ -218,7 +218,8 @@ def _side(anchor: tuple[float, float], through: tuple[float, float],
 
 @dataclass(frozen=True)
 class ConeSet:
-    """The four controlling cones anchored at a binary code point.
+    """The four controlling cones anchored at a binary code point strictly
+    inside (0, 1)^2.
 
     The boundary lines are L1 (through (R, delta) = (0, 1)) and L2
     (through (1, 0)); the segments I1 and I2 run from the anchor to the
@@ -226,6 +227,13 @@ class ConeSet:
     """
 
     anchor: BinaryCodePoint
+
+    def __post_init__(self):
+        p = self.anchor
+        if not (0.0 < p.rate < 1.0 and 0.0 < p.delta < 1.0):
+            raise DegenerateAnchor(
+                f"anchor ({p.rate:.4g}, {p.delta:.4g}) must lie strictly inside the square"
+            )
 
     @property
     def segment1_endpoint(self) -> tuple[float, float]:
@@ -245,32 +253,15 @@ class ConeSet:
         D is the cone containing the origin; crossing I1 from D enters R,
         crossing I2 enters L, and U is opposite D; 'boundary' is a signed
         area (anchor, a line's fixed point, q) within EPS_REGION of 0.
+        The origin's areas are R > 0 about L1 and -delta < 0 about L2, so D
+        is where both the negated L1 area and the L2 area are negative.
         """
         p = (self.anchor.rate, self.anchor.delta)
-        s1 = _side(p, (0.0, 1.0), q)
-        s2 = _side(p, (1.0, 0.0), q)
-        o1 = _side(p, (0.0, 1.0), (0.0, 0.0))
-        o2 = _side(p, (1.0, 0.0), (0.0, 0.0))
-        if abs(s1) <= geometry.EPS_REGION or abs(s2) <= geometry.EPS_REGION:
-            return "boundary"
-        same1 = (s1 > 0) == (o1 > 0)
-        same2 = (s2 > 0) == (o2 > 0)
-        if same1 and same2:
-            return "D"
-        if not same1 and not same2:
-            return "U"
-        # crossing L2 (the boundary shared along I2) leads from D to L
-        if same1:
-            return "L"
-        return "R"
+        return geometry.quadrant(-_side(p, (0.0, 1.0), q), _side(p, (1.0, 0.0), q))
 
 
 def controlling_cones(p: BinaryCodePoint) -> ConeSet:
     """Cone set of an anchor strictly inside (0, 1)^2."""
-    if not (0.0 < p.rate < 1.0 and 0.0 < p.delta < 1.0):
-        raise DegenerateAnchor(
-            f"anchor ({p.rate:.4g}, {p.delta:.4g}) must lie strictly inside the square"
-        )
     return ConeSet(p)
 
 

@@ -43,8 +43,8 @@ def circle_max_points(phi: float) -> int:
     A small tolerance keeps angles that divide the circle exactly (such as
     phi = 2 pi / 3 computed via arccos) from losing a point to rounding.
     """
-    if phi <= 0.0:
-        raise ValueError("phi must be positive")
+    if not phi > 0.0:  # written so that a nan phi fails too
+        raise ValueError(f"phi must be positive, got {phi}")
     return int(math.floor(2.0 * math.pi / phi + 1e-9))
 
 
@@ -231,17 +231,7 @@ class ControllingRegions:
         'boundary' within EPS_REGION of a line.
         """
         x, y = float(q[0]), float(q[1])
-        d1 = y - self.line1(x)
-        d2 = y - self.line2(x)
-        if abs(d1) <= geometry.EPS_REGION or abs(d2) <= geometry.EPS_REGION:
-            return "boundary"
-        if d1 < 0 and d2 < 0:
-            return "D"
-        if d1 > 0 and d2 > 0:
-            return "U"
-        if d1 < 0:
-            return "L"
-        return "R"
+        return geometry.quadrant(y - self.line1(x), y - self.line2(x))
 
     def lower_boundary(self, x: float) -> float:
         """Upper edge of region D at abscissa x, clipped to [0, rate_cap]."""

@@ -38,8 +38,20 @@ def _print_with_code(rows: list[str], code: spherical.SphericalCode, path: str |
         _write(path, spherical.dump_spherical_code(code))
 
 
+def _numbers(text: str, option: str, kind=float) -> list:
+    """The comma list ``text`` given to ``option``; a list of ints may also
+    be a range ``a..b``, both ends included."""
+    try:
+        if kind is int and ".." in text:
+            lo, hi = text.split("..")
+            return list(range(int(lo), int(hi) + 1))
+        return [kind(t) for t in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{option} must be a list of numbers, got {text!r}") from None
+
+
 def _line_arg(text: str) -> spherical.LineThroughOrigin:
-    direction = np.asarray([float(t) for t in text.split(",")])
+    direction = np.asarray(_numbers(text, "--line"))
     if not (np.all(np.isfinite(direction)) and direction.any()):
         raise ValueError(f"--line must be a finite nonzero direction, got {text!r}")
     direction = geometry.scaled_rows(direction)
@@ -49,7 +61,7 @@ def _line_arg(text: str) -> spherical.LineThroughOrigin:
 def _load_packing_arg(args) -> packings.PeriodicPacking:
     if args.lattice_file:
         return packings.load_packing(Path(args.lattice_file).read_text())
-    lat = packings.lattice_by_name(args.lattice, args.dim)
+    lat = packings.lattice_by_name("Z" if args.lattice is None else args.lattice, args.dim)
     return packings.touching_packing(lat)
 
 
@@ -63,6 +75,8 @@ def cmd_bounds(args) -> int:
         phis = [args.phi]
     else:
         lo, hi, num = args.grid
+        if not (num >= 1 and float(num).is_integer()):  # a nan num fails too
+            raise ValueError(f"--grid NUM must be an integer >= 1, got {num:g}")
         phis = list(np.linspace(lo, hi, int(num)))
     for phi in phis:
         if args.curve == "kl":
@@ -77,17 +91,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_figures(args) -> int:
-    m_values = None
-    if args.m:
-        if ".." in args.m:
-            lo, hi = args.m.split("..")
-            m_values = list(range(int(lo), int(hi) + 1))
-        else:
-            m_values = [int(t) for t in args.m.split(",")]
-    n_values = None
-    if args.n_range:
-        lo, hi = args.n_range.split("..")
-        n_values = list(range(int(lo), int(hi) + 1))
+    m_values = _numbers(args.m, "--m", int) if args.m else None
+    n_values = _numbers(args.n_range, "--n-range", int) if args.n_range else None
     curves = bounds.figure_curves(
         args.which, n_values=n_values, n=args.n, m_values=m_values,
         samples=args.samples,
@@ -168,7 +173,7 @@ def cmd_shell(args) -> int:
     packing = _load_packing_arg(args)
     x0 = np.zeros(packing.lattice.dimension)
     if args.x0:
-        x0 = np.asarray([float(t) for t in args.x0.split(",")])
+        x0 = np.asarray(_numbers(args.x0, "--x0"))
     code, cert = packings.shell_code(packing, x0, args.u)
     rows = [f"card {cert['card']}",
             f"guaranteed_min_angle {fmt(cert['guaranteed_min_angle'])}",
@@ -220,6 +225,13 @@ def cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _lattice_options(parser: argparse.ArgumentParser) -> None:
+    """--lattice (Z when neither it nor --lattice-file is given), --lattice-file, --dim."""
+    parser.add_argument("--lattice")
+    parser.add_argument("--lattice-file")
+    parser.add_argument("--dim", type=int, default=2)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="sphcodes")
     sub = p.add_subparsers(dest="command", required=True)
@@ -268,25 +280,19 @@ def build_parser() -> argparse.ArgumentParser:
     a.set_defaults(func=cmd_atlas)
 
     t = sub.add_parser("theta", help="theta coefficients of a lattice/packing")
-    t.add_argument("--lattice", default="Z")
-    t.add_argument("--lattice-file")
-    t.add_argument("--dim", type=int, default=2)
+    _lattice_options(t)
     t.add_argument("--m-max", type=float, default=8.0)
     t.add_argument("--out")
     t.set_defaults(func=cmd_theta)
 
     k = sub.add_parser("kissing", help="kissing configuration of a packing")
-    k.add_argument("--lattice", default="Z")
-    k.add_argument("--lattice-file")
-    k.add_argument("--dim", type=int, default=2)
+    _lattice_options(k)
     k.add_argument("--center", type=int, default=0)
     k.add_argument("--out")
     k.set_defaults(func=cmd_kissing)
 
     sh = sub.add_parser("shell", help="shell code of a packing")
-    sh.add_argument("--lattice", default="Z")
-    sh.add_argument("--lattice-file")
-    sh.add_argument("--dim", type=int, default=2)
+    _lattice_options(sh)
     sh.add_argument("--u", type=float, required=True)
     sh.add_argument("--x0", help="comma-separated base point")
     sh.add_argument("--out")
@@ -294,9 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("density", help="densities and packing bounds")
     d.add_argument("--code")
-    d.add_argument("--lattice")
-    d.add_argument("--lattice-file")
-    d.add_argument("--dim", type=int, default=2)
+    _lattice_options(d)
     d.add_argument("--n", type=int, default=2)
     d.add_argument("--phi", type=float, default=math.pi / 3)
     d.add_argument("--normalize", action="store_true")

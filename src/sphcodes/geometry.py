@@ -39,6 +39,18 @@ NEAR_GRAM = 1.0 - 1e-8
 BLOCK_ENTRIES = 1 << 16
 
 
+def quadrant(d1: float, d2: float) -> str:
+    """The region of a point whose signed offsets from two crossing lines
+    are ``d1`` and ``d2``: 'boundary' within EPS_REGION of either line,
+    else 'D' (both negative), 'U' (both positive), 'L' (d1 < 0 < d2) or
+    'R' (d2 < 0 < d1)."""
+    if abs(d1) <= EPS_REGION or abs(d2) <= EPS_REGION:
+        return "boundary"
+    if d1 < 0:
+        return "D" if d2 < 0 else "L"
+    return "R" if d2 < 0 else "U"
+
+
 def as_unit(coords) -> np.ndarray:
     """Validate and return a unit vector as a float64 array.
 

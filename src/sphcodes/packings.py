@@ -524,6 +524,8 @@ def annulus_condition(latitudes, phi: float) -> float:
 # ---------------------------------------------------------------------------
 
 def integer_lattice(n: int) -> Lattice:
+    if n < 1:
+        raise ValueError(f"Z^n needs n >= 1, got {n}")
     return Lattice(np.eye(n))
 
 def hexagonal_lattice() -> Lattice:
@@ -559,10 +561,9 @@ NAMED_LATTICES = {
 }
 
 
-def lattice_by_name(name: str, dim: int | None = None) -> Lattice:
+def lattice_by_name(name: str, dim: int) -> Lattice:
+    """The lattice ``name``: one of NAMED_LATTICES, or "Z" for Z^dim."""
     if name == "Z":
-        if dim is None:
-            raise ValueError("Z lattice needs a dimension")
         return integer_lattice(dim)
     if name in NAMED_LATTICES:
         return NAMED_LATTICES[name]()
@@ -610,9 +611,6 @@ def load_packing(text: str) -> PeriodicPacking:
     except InputFormatError as exc:
         error = exc
     pts, bad_row = number_rows(rows, dim)
-    finite = np.isfinite(pts).all(axis=1)
-    if not finite.all():  # these rows all come before a bad row or the error's line
-        raise InputFormatError("coordinate is not finite", rows[int(np.argmin(finite))][0])
     if bad_row or error:  # every row precedes the error's line, so a bad row comes first
         raise bad_row or error
     if len(rows) != dim + translates:

@@ -615,21 +615,28 @@ def read_dim(text: str, empty: str):
 
 
 def number_rows(rows, width: int) -> tuple[np.ndarray, InputFormatError | None]:
-    """The leading ``(line number, tokens)`` rows of ``width`` numbers each,
-    as one float array, and the error of the row after them (None if there
-    is none).  The rows are tried one by one only when the array fails."""
+    """The leading ``(line number, tokens)`` rows of ``width`` finite numbers
+    each, as one float array, and the error of the row after them (None if
+    there is none).  The rows are tried one by one only when the array fails."""
+    error = None
     try:
-        return np.array([p for _, p in rows], dtype=float).reshape(len(rows), width), None
+        pts = np.array([p for _, p in rows], dtype=float).reshape(len(rows), width)
     except ValueError:  # a token that is no number, or a row of another length
-        pass
-    for i, (lineno, parts) in enumerate(rows):
-        try:
-            np.array(parts, dtype=float)
-        except ValueError:
-            return number_rows(rows[:i], width)[0], InputFormatError("malformed number", lineno)
-        if len(parts) != width:
-            error = InputFormatError(f"expected {width} numbers, got {len(parts)}", lineno)
-            return number_rows(rows[:i], width)[0], error
+        for i, (lineno, parts) in enumerate(rows):
+            try:
+                np.array(parts, dtype=float)
+            except ValueError:
+                error = InputFormatError("malformed number", lineno)
+                break
+            if len(parts) != width:
+                error = InputFormatError(f"expected {width} numbers, got {len(parts)}", lineno)
+                break
+        pts = np.array([p for _, p in rows[:i]], dtype=float).reshape(i, width)
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():  # a non-finite row comes before the error's row
+        k = int(np.argmin(finite))
+        return pts[:k], InputFormatError("coordinate is not finite", rows[k][0])
+    return pts, error
 
 
 def dump_spherical_code(code: SphericalCode) -> str:
@@ -643,18 +650,14 @@ def load_spherical_code(text: str, *, normalize: bool = False) -> SphericalCode:
     dim, lines = read_dim(text, "no points found")
     rows = list(lines)
     pts, error = number_rows(rows, dim)
-    finite = np.isfinite(pts).all(axis=1)
-    bad = ~finite
     if not normalize:
         with np.errstate(over="ignore"):  # a norm beyond the float range is inf
-            bad |= np.abs(np.hypot.reduce(pts, axis=1, initial=0.0) - 1) > EPS_NORM
-    if bad.any():
-        k = int(np.argmax(bad))
-        if not finite[k]:
-            raise InputFormatError("coordinate is not finite", rows[k][0])
-        nrm = math.hypot(*pts[k])  # printed exactly, not as the reduction rounds it
-        raise InputFormatError(f"point norm {nrm!r} not within {EPS_NORM} of 1 "
-                               "(use normalize)", rows[k][0])
+            bad = np.abs(np.hypot.reduce(pts, axis=1, initial=0.0) - 1) > EPS_NORM
+        if bad.any():
+            k = int(np.argmax(bad))
+            nrm = math.hypot(*pts[k])  # printed exactly, not as the reduction rounds it
+            raise InputFormatError(f"point norm {nrm!r} not within {EPS_NORM} of 1 "
+                                   "(use normalize)", rows[k][0])
     if error or not rows:
         raise error or InputFormatError("no points found")
     return SphericalCode(pts, normalize=normalize)

@@ -201,6 +201,13 @@ def test_degenerate_anchor_rejected():
         binary.controlling_cones(p)
 
 
+@pytest.mark.parametrize("rate, delta", [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0),
+                                         (0.0, 0.0), (1.0, 1.0)])
+def test_cone_set_on_an_edge_is_rejected(rate, delta):
+    with pytest.raises(DegenerateAnchor, match="strictly inside the square"):
+        binary.ConeSet(binary.BinaryCodePoint(rate=rate, delta=delta, n=4, k=2, d=1))
+
+
 def test_numerical_spoil_points_on_lines():
     p = binary.BinaryCodePoint(rate=0.5, delta=0.25, n=8, k=4, d=2)
     p1, p2 = binary.numerical_spoil_points(p, 8)

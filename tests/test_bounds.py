@@ -66,6 +66,12 @@ def test_rankin_tight_on_circle():
     assert bounds.circle_max_points(phi) == 3
 
 
+@pytest.mark.parametrize("phi", [0.0, -1.0, math.nan, -math.inf])
+def test_circle_max_points_names_a_phi_outside_the_domain(phi):
+    with pytest.raises(ValueError, match=f"^phi must be positive, got {phi}$"):
+        bounds.circle_max_points(phi)
+
+
 def test_rankin_plateau_value():
     # for -1/n <= cos phi < 0 the bound is n + 1
     n = 5

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sphcodes import bounds, cli, spherical
+from sphcodes import bounds, cli, emit, spherical
 
 
 def run(capsys, *argv):
@@ -72,6 +72,45 @@ def test_figures_one_sample(capsys, which):
     rc, out, _err = run(capsys, "figures", "--which", which, "--samples", "1")
     assert rc == 0
     assert len(out.splitlines()) == 1 + len(bounds.figure_curves(which, samples=1))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["figures", "--which", "fig1", "--n-range", "1..x"],
+     "--n-range must be a list of numbers, got '1..x'"),
+    (["figures", "--which", "fig3", "--m", "1..2..3"],
+     "--m must be a list of numbers, got '1..2..3'"),
+    (["figures", "--which", "fig3", "--m", "a"], "--m must be a list of numbers, got 'a'"),
+    (["shell", "--lattice", "Z", "--dim", "2", "--u", "1", "--x0", "a,0"],
+     "--x0 must be a list of numbers, got 'a,0'"),
+    (["spoil", "{code}", "--op", "2", "--line", "a,b"],
+     "--line must be a list of numbers, got 'a,b'"),
+], ids=["n-range", "m-range", "m-word", "x0", "line"])
+def test_malformed_number_list_names_its_option(capsys, tmp_path, argv, message):
+    code = tmp_path / "code.txt"
+    code.write_text("dim 2\n1 0\n0 1\n")
+    rc, out, err = run(capsys, *(a.format(code=code) for a in argv))
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("which, option, value, kwargs", [
+    ("fig1", "--n-range", "3", {"n_values": [3]}),
+    ("fig1", "--n-range", "2,5", {"n_values": [2, 5]}),
+    ("fig3", "--m", "4", {"m_values": [4]}),
+])
+def test_number_list_of_one_element(capsys, which, option, value, kwargs):
+    rc, out, err = run(capsys, "figures", "--which", which, option, value, "--samples", "8")
+    assert rc == 0 and err == ""
+    assert out == emit.curves_to_csv(bounds.figure_curves(which, samples=8, **kwargs))
+
+
+@pytest.mark.parametrize("num", ["0", "-5", "2.5", "nan"])
+def test_bounds_grid_count_must_be_a_positive_integer(capsys, num):
+    rc, out, err = run(capsys, "bounds", "--grid", "0.1", "1", num)
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: --grid NUM must be an integer >= 1, got {float(num):g}\n"
 
 
 def test_figures_svg(capsys, tmp_path):
@@ -254,6 +293,27 @@ def test_malformed_input_file_gives_one_error_line(capsys, tmp_path, command, da
     assert rc == 1
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["density", "--n", "2", "--phi", "nan"], "phi must be positive, got nan"),
+    (["density", "--n", "2", "--phi", "0"], "phi must be positive, got 0.0"),
+    (["theta", "--lattice", "Z", "--dim", "-1"], "Z^n needs n >= 1, got -1"),
+    (["kissing", "--dim", "0"], "Z^n needs n >= 1, got 0"),
+    (["theta", "--lattice", ""], "unknown lattice ''; known: ['A2', 'D4', 'E8', 'Z']"),
+])
+def test_domain_errors_name_their_input(capsys, argv, message):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_lattice_defaults_to_z_of_dim(capsys):
+    assert run(capsys, "theta", "--m-max", "2") == run(capsys, "theta", "--lattice", "Z",
+                                                       "--m-max", "2")
+    rc, out, _ = run(capsys, "kissing", "--dim", "3")
+    assert rc == 0 and out.startswith("card 6\n")
 
 
 def test_theta_over_budget_fails_fast(capsys):

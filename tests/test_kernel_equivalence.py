@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sphcodes import atlas as atlas_mod
@@ -205,6 +205,43 @@ def ref_envelope(atlas):
         envelope[j] = max(envelope[j], envelope[j + 1])
         envelope[j] = min(envelope[j], bounds.kl_bound(float(atlas.phi_grid[j])))
     return envelope
+
+
+def ref_cone_membership(cones, q):
+    """ConeSet.membership as it compared each signed area with the origin's."""
+    p = (cones.anchor.rate, cones.anchor.delta)
+    s1 = binary._side(p, (0.0, 1.0), q)
+    s2 = binary._side(p, (1.0, 0.0), q)
+    o1 = binary._side(p, (0.0, 1.0), (0.0, 0.0))
+    o2 = binary._side(p, (1.0, 0.0), (0.0, 0.0))
+    if abs(s1) <= geometry.EPS_REGION or abs(s2) <= geometry.EPS_REGION:
+        return "boundary"
+    same1 = (s1 > 0) == (o1 > 0)
+    same2 = (s2 > 0) == (o2 > 0)
+    if same1 and same2:
+        return "D"
+    if not same1 and not same2:
+        return "U"
+    # crossing L2 (the boundary shared along I2) leads from D to L
+    if same1:
+        return "L"
+    return "R"
+
+
+def ref_region_membership(regions, q):
+    """ControllingRegions.membership with its own sign rule."""
+    x, y = float(q[0]), float(q[1])
+    d1 = y - regions.line1(x)
+    d2 = y - regions.line2(x)
+    if abs(d1) <= geometry.EPS_REGION or abs(d2) <= geometry.EPS_REGION:
+        return "boundary"
+    if d1 < 0 and d2 < 0:
+        return "D"
+    if d1 > 0 and d2 > 0:
+        return "U"
+    if d1 < 0:
+        return "L"
+    return "R"
 
 
 def ref_enumerate_quadratic(gram, center, bound, budget=10_000_000, nodes=None,
@@ -838,6 +875,43 @@ def test_envelope_matches_grid_anchor_loop_on_placed_anchors(monkeypatch, phi_c)
         atlas = atlas_mod.Atlas(cutoff=cutoff, dominated_anchors=anchors, phi_grid=grid)
         env = atlas_mod.envelope(anchors, cutoff, grid)
         assert np.max(np.abs(env - ref_envelope(atlas))) <= 1e-12
+
+
+INSIDE = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+ALONG = st.floats(-0.5, 1.5)
+# a point at random, or within 2 EPS_REGION of the first or second line
+NEAR = st.tuples(st.sampled_from([None, 1, 2]),
+                 st.floats(-2 * geometry.EPS_REGION, 2 * geometry.EPS_REGION))
+
+
+@settings(max_examples=500, deadline=None)
+@given(rate=INSIDE, delta=INSIDE, t=ALONG, u=ALONG, near=NEAR)
+def test_cone_membership_is_the_origin_side_rule(rate, delta, t, u, near):
+    cones = binary.ConeSet(binary.BinaryCodePoint(rate=rate, delta=delta, n=4, k=2, d=1))
+    line, off = near
+    if line == 1:    # L1 runs from (0, 1) through the anchor
+        q = (t * rate, 1.0 + t * (delta - 1.0) + off)
+    elif line == 2:  # L2 runs from (1, 0) through the anchor
+        q = (1.0 + t * (rate - 1.0) + off, t * delta)
+    else:
+        q = (t, u)
+    assert cones.membership(q) == ref_cone_membership(cones, q)
+
+
+@settings(max_examples=500, deadline=None)
+@given(phi_c=st.floats(0.05, 1.5), fx=INSIDE, fy=INSIDE, t=ALONG, u=ALONG, near=NEAR)
+def test_region_membership_is_the_sign_rule_of_both_lines(phi_c, fx, fy, t, u, near):
+    cutoff = bounds.CutoffRegion(phi_c)
+    regions = bounds.ControllingRegions((fx * cutoff.cos_phi_c, fy * cutoff.rate_cap), cutoff)
+    line, off = near
+    x = t * cutoff.cos_phi_c
+    if line is None:
+        q = (x, u * cutoff.rate_cap)
+    else:
+        y = float((regions.line1 if line == 1 else regions.line2)(x))
+        assume(math.isfinite(y))
+        q = (x, y + off)
+    assert regions.membership(q) == ref_region_membership(regions, q)
 
 
 ENUMERATIONS = {

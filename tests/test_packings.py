@@ -38,6 +38,12 @@ def test_lattice_rejects_singular_basis():
         packings.Lattice(np.array([[1.0, 0.0], [2.0, 0.0]]))
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_integer_lattice_names_a_dimension_below_1(n):
+    with pytest.raises(ValueError, match=rf"^Z\^n needs n >= 1, got {n}$"):
+        packings.integer_lattice(n)
+
+
 def test_minimal_norms():
     assert packings.integer_lattice(3).minimal_norm == pytest.approx(1.0)
     assert packings.hexagonal_lattice().minimal_norm == pytest.approx(1.0)

@@ -470,6 +470,32 @@ def test_load_rejects_bad_header():
             spherical.load_spherical_code(text)
 
 
+@pytest.mark.parametrize("text, k, message", [
+    ("dim 2\n3 4\nnan 0\n", 2, "point norm 5.0"),   # a bad norm before a non-finite row
+    ("dim 2\nnan 0\n3 4\n", 2, "coordinate is not finite"),
+    ("dim 2\n1 0\ninf 0\n0 x\n", 3, "coordinate is not finite"),
+    ("dim 2\n1 0\n0 x\ninf 0\n", 3, "malformed number"),
+    ("dim 2\n1 0\n0 nan 1\n", 3, "expected 2 numbers, got 3"),
+])
+def test_load_reports_the_first_bad_line_among_non_finite_rows(text, k, message):
+    with pytest.raises(InputFormatError, match=f"^line {k}: {message}"):
+        spherical.load_spherical_code(text)
+
+
+@pytest.mark.parametrize("rows, kept, error", [
+    ([(1, ["1", "0"]), (2, ["0", "1"])], 2, None),
+    ([(1, ["1", "0"]), (2, ["nan", "1"]), (3, ["0", "x"])], 1, "line 2: coordinate is not finite"),
+    ([(1, ["1", "0"]), (2, ["0", "x"]), (3, ["inf", "1"])], 1, "line 2: malformed number"),
+    ([(1, ["1e400", "0"]), (2, ["0"])], 0, "line 1: coordinate is not finite"),
+    ([(1, ["1", "0"]), (2, ["0"]), (3, ["-inf", "1"])], 1, "line 2: expected 2 numbers, got 1"),
+    ([], 0, None),
+])
+def test_number_rows_stop_before_the_first_non_finite_or_malformed_row(rows, kept, error):
+    pts, exc = spherical.number_rows(rows, 2)
+    assert pts.shape == (kept, 2) and np.isfinite(pts).all()
+    assert (exc and str(exc)) == error
+
+
 @pytest.mark.parametrize("bad, normalize", [
     ("nan", False), ("nan", True), ("inf", True), ("-inf", False)])
 def test_load_names_the_line_of_a_non_finite_coordinate(bad, normalize):
