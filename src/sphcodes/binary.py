@@ -218,8 +218,7 @@ def _side(anchor: tuple[float, float], through: tuple[float, float],
 
 @dataclass(frozen=True)
 class ConeSet:
-    """The four controlling cones anchored at a binary code point strictly
-    inside (0, 1)^2.
+    """The four controlling cones anchored at a code point strictly inside (0, 1)^2.
 
     The boundary lines are L1 (through (R, delta) = (0, 1)) and L2
     (through (1, 0)); the segments I1 and I2 run from the anchor to the

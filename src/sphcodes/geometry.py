@@ -40,15 +40,16 @@ BLOCK_ENTRIES = 1 << 16
 
 
 def quadrant(d1: float, d2: float) -> str:
-    """The region of a point whose signed offsets from two crossing lines
-    are ``d1`` and ``d2``: 'boundary' within EPS_REGION of either line,
-    else 'D' (both negative), 'U' (both positive), 'L' (d1 < 0 < d2) or
-    'R' (d2 < 0 < d1)."""
+    """Region of a point whose signed offsets from two crossing lines are d1
+    and d2: 'boundary' if either is within EPS_REGION of 0, else 'D' (both
+    negative), 'U' (both positive), 'L' (d1 < 0 < d2) or 'R' (d2 < 0 < d1)."""
     if abs(d1) <= EPS_REGION or abs(d2) <= EPS_REGION:
         return "boundary"
-    if d1 < 0:
-        return "D" if d2 < 0 else "L"
-    return "R" if d2 < 0 else "U"
+    if d1 < 0 and d2 < 0:
+        return "D"
+    if d1 > 0 and d2 > 0:
+        return "U"
+    return "L" if d1 < 0 else "R"
 
 
 def as_unit(coords) -> np.ndarray:

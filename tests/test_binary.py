@@ -183,6 +183,15 @@ def test_cone_boundary_slack_is_1e12():
     assert cones.membership((1.0, 2.0 ** -37)) == "L"
 
 
+def test_cone_membership_at_a_subnormal_anchor():
+    # the origin's area about L1 is R delta + R (1 - delta), which rounds to 0
+    # at R = 5e-324 and delta = 1/2, so comparing with it would label this
+    # point D; its signed areas are -1/4 about both lines, which is R
+    cones = binary.controlling_cones(
+        binary.BinaryCodePoint(rate=5e-324, delta=0.5, n=4, k=2, d=1))
+    assert cones.membership((0.5, 0.0)) == "R"
+
+
 def test_cone_partition_random_points():
     rng = np.random.default_rng(7)
     p = binary.BinaryCodePoint(rate=0.4, delta=0.3, n=10, k=4, d=3)

@@ -877,7 +877,9 @@ def test_envelope_matches_grid_anchor_loop_on_placed_anchors(monkeypatch, phi_c)
         assert np.max(np.abs(env - ref_envelope(atlas))) <= 1e-12
 
 
-INSIDE = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+# normal floats only: at a subnormal anchor the reference's origin areas
+# underflow to 0 (see test_cone_membership_at_a_subnormal_anchor)
+INSIDE = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True, allow_subnormal=False)
 ALONG = st.floats(-0.5, 1.5)
 # a point at random, or within 2 EPS_REGION of the first or second line
 NEAR = st.tuples(st.sampled_from([None, 1, 2]),
@@ -912,6 +914,19 @@ def test_region_membership_is_the_sign_rule_of_both_lines(phi_c, fx, fy, t, u, n
         assume(math.isfinite(y))
         q = (x, y + off)
     assert regions.membership(q) == ref_region_membership(regions, q)
+
+
+@pytest.mark.parametrize("q", [(math.nan, 0.1), (0.1, math.nan), (math.nan, math.nan),
+                               (math.inf, 0.1), (0.1, math.inf), (-math.inf, math.inf),
+                               (math.inf, -math.inf), (-math.inf, -math.inf)])
+def test_membership_of_a_non_finite_point_is_the_parent_label(q):
+    cones = binary.ConeSet(binary.BinaryCodePoint(rate=0.4, delta=0.3, n=4, k=2, d=1))
+    assert cones.membership(q) == ref_cone_membership(cones, q)
+    cutoff = bounds.CutoffRegion(0.4)
+    for anchor in [(0.3, 0.2), (cutoff.cos_phi_c, 0.5 * cutoff.rate_cap)]:
+        regions = bounds.ControllingRegions(anchor, cutoff)
+        with np.errstate(invalid="ignore"):  # inf - inf on a vertical line2
+            assert regions.membership(q) == ref_region_membership(regions, q)
 
 
 ENUMERATIONS = {
