@@ -58,9 +58,15 @@ def _line_arg(text: str) -> spherical.LineThroughOrigin:
     return spherical.LineThroughOrigin(direction / np.linalg.norm(direction))
 
 
+def _read_file(path: str, option: str) -> str:
+    if not path:
+        raise ValueError(f"{option} needs a file name, got ''")
+    return Path(path).read_text()
+
+
 def _load_packing_arg(args) -> packings.PeriodicPacking:
-    if args.lattice_file:
-        return packings.load_packing(Path(args.lattice_file).read_text())
+    if args.lattice_file is not None:
+        return packings.load_packing(_read_file(args.lattice_file, "--lattice-file"))
     lat = packings.lattice_by_name("Z" if args.lattice is None else args.lattice, args.dim)
     return packings.touching_packing(lat)
 
@@ -183,12 +189,12 @@ def cmd_shell(args) -> int:
 
 
 def cmd_density(args) -> int:
-    if args.code:
-        code = spherical.load_spherical_code(Path(args.code).read_text(),
+    if args.code is not None:
+        code = spherical.load_spherical_code(_read_file(args.code, "--code"),
                                              normalize=args.normalize)
         print(f"code_density {fmt(packings.code_density(code))}")
         return 0
-    if args.lattice_file or args.lattice:
+    if args.lattice_file is not None or args.lattice is not None:
         packing = _load_packing_arg(args)
         print(f"packing_density {fmt(packings.packing_density(packing))}")
         return 0

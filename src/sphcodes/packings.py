@@ -3,11 +3,10 @@
 Lattice points are integer combinations of the basis rows.  Counting is
 done by exact enumeration under a quadratic-form bound (triangular
 decomposition of the Gram matrix with per-coordinate interval bounds),
-walked in blocks of points and subject to a configurable node budget.
-Theta series, shell and kissing codes and minimal norms read whole blocks
-of points and values; ``enumerate_quadratic`` is the per-point view of the
-same walk.  Theta series and minimal norms walk only half of the ball
-about 0, since z and -z have the same norm.
+walked in blocks of points within a fixed node budget.  Theta series,
+shell and kissing codes and minimal norms read whole blocks;
+``enumerate_quadratic`` yields one point at a time.  Theta series and
+minimal norms walk half of the ball about 0, as z and -z have one norm.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .spherical import SphericalCode, format_rows, keyword_value, number_rows, r
 NORM_BUCKET_DECIMALS = 9   # norms bucketed to 1e-9
 SHELL_TOL = 1e-9
 # Nodes of one enumeration walk: every integer tried for a coordinate.
-DEFAULT_POINT_BUDGET = 10_000_000
+NODE_BUDGET = 10_000_000
 # Enumeration blocks hold at most this many integer coordinates: a 128 KiB
 # int64 block.  E8 theta to norm 12 is 1.8x faster than at 1 << 12, and
 # 1 << 16 is no faster but re-faults its freed blocks on every call.
@@ -82,8 +81,8 @@ class Lattice:
         return best
 
 
-def _quadratic_blocks(gram: np.ndarray, center: np.ndarray, bound: float,
-                      budget: int = DEFAULT_POINT_BUDGET, *, half: bool = False):
+def _quadratic_blocks(gram: np.ndarray, center: np.ndarray, bound: float, *,
+                      half: bool = False):
     """Yield (z, values) blocks of the integer z with (z+center)' G (z+center) <= bound.
 
     With G = R'R (R upper triangular) the coordinates are fixed from the
@@ -94,15 +93,16 @@ def _quadratic_blocks(gram: np.ndarray, center: np.ndarray, bound: float,
     outermost, each ascending); a block holds at most BLOCK_COORDS
     coordinates.  ``z`` is an int64 array of rows and ``values`` the float
     array of their quadratic-form values.  Every integer tried for a
-    coordinate is a node, pruned or not; more than ``budget`` nodes raise
-    BudgetExceeded before they are built.
+    coordinate is a node, pruned or not; more than NODE_BUDGET nodes raise
+    BudgetExceeded before they are built.  A frame carries the partial sums
+    sums[:, l] = sum_{j>i} R[l, j] (z_j + c_j), l <= i (Schnorr-Euchner).
 
     ``half`` walks one half of a ball about a zero center: a coordinate
     whose prefix (the coordinates already fixed) is all zero starts at 0,
     so the zero row comes once and each other z only if its last nonzero
-    coordinate is positive.  Rounding is sign-symmetric about a zero
-    center, so -z has the bit-identical value of z.  The budget counts
-    the nodes of this half walk.
+    coordinate is positive.  About a zero center every operation on a
+    row is elementwise and sign-symmetric, so -z has the bit-identical
+    value of z.  The budget counts the nodes of this half walk.
     """
     gram = np.asarray(gram, dtype=float)
     c = np.asarray(center, dtype=float)
@@ -116,7 +116,7 @@ def _quadratic_blocks(gram: np.ndarray, center: np.ndarray, bound: float,
     rows = max(1, BLOCK_COORDS // n)
     visited = 0.0  # a float: interval widths can overflow int64
 
-    def frame(i, z, rem, acc, zero_first):
+    def frame(i, z, rem, acc, sums, zero_first):
         """The prefixes z (coordinates > i fixed) with their intervals for i.
 
         ``zero_first``: row 0 of z is the zero prefix of a half walk.  The
@@ -124,37 +124,34 @@ def _quadratic_blocks(gram: np.ndarray, center: np.ndarray, bound: float,
         0), so it stays row 0 of the first block of the next frame.
         """
         nonlocal visited
-        s = np.zeros(len(z))
-        for j in range(i + 1, n):
-            s = s + R[i, j] * (z[:, j] + c[j])
         radius = np.sqrt(np.maximum(rem, 0.0))
-        lo = np.ceil((-radius - s) / R[i, i] - c[i] - 1e-12)
-        hi = np.floor((radius - s) / R[i, i] - c[i] + 1e-12)
+        lo = np.ceil((-radius - sums[:, i]) / R[i, i] - c[i] - 1e-12)
+        hi = np.floor((radius - sums[:, i]) / R[i, i] - c[i] + 1e-12)
         if zero_first:
             lo[0] = max(lo[0], 0.0)
         width = np.maximum(hi - lo + 1.0, 0.0)
         visited += float(width.sum())
-        if visited > budget:
-            raise BudgetExceeded(f"enumeration exceeded {budget} nodes")
+        if visited > NODE_BUDGET:
+            raise BudgetExceeded(f"enumeration exceeded {NODE_BUDGET} nodes")
         width = width.astype(np.int64)
         ends = np.cumsum(width)
         # node k of the frame is in prefix p = searchsorted(ends, k, "right")
         # and sets coordinate i to k + offset[p]; the last item is the next k
-        return [i, z, rem, acc, s, lo.astype(np.int64) + width - ends, ends,
+        return [i, z, rem, acc, sums, lo.astype(np.int64) + width - ends, ends,
                 zero_first, 0]
 
     stack = [frame(n - 1, np.zeros((1, n), dtype=np.int64),
-                   np.array([float(bound)]), np.zeros(1), half)]
+                   np.array([float(bound)]), np.zeros(1), np.zeros((1, n)), half)]
     while stack:
         top = stack[-1]
-        i, z, rem, acc, s, offset, ends, zero_first, done = top
+        i, z, rem, acc, sums, offset, ends, zero_first, done = top
         top[-1] = stop = min(int(ends[-1]), done + rows)
         if stop == ends[-1]:
             stack.pop()
         k = np.arange(done, stop)
         p = np.searchsorted(ends, k, side="right")
         zi = k + offset[p]
-        term = (R[i, i] * (zi + c[i]) + s[p]) ** 2
+        term = (R[i, i] * (zi + c[i]) + sums[p, i]) ** 2
         keep = term <= rem[p] + 1e-9
         p, zi, term = p[keep], zi[keep], term[keep]
         if p.size == 0:
@@ -165,17 +162,17 @@ def _quadratic_blocks(gram: np.ndarray, center: np.ndarray, bound: float,
             yield z_next, acc[p] + term
         else:
             stack.append(frame(i - 1, z_next, rem[p] - term, acc[p] + term,
+                               sums[p, :i] + np.multiply.outer(zi + c[i], R[:i, i]),
                                zero_first and done == 0))
 
 
-def enumerate_quadratic(gram: np.ndarray, center: np.ndarray, bound: float,
-                        budget: int = DEFAULT_POINT_BUDGET):
+def enumerate_quadratic(gram: np.ndarray, center: np.ndarray, bound: float):
     """Yield (z, value) for integer z with (z+center)' G (z+center) <= bound.
 
     The per-point view of ``_quadratic_blocks``: the same points, order,
     values and node budget.  ``z`` is an int64 row of its block.
     """
-    for z, values in _quadratic_blocks(gram, center, bound, budget):
+    for z, values in _quadratic_blocks(gram, center, bound):
         yield from zip(z, values.tolist())
 
 
@@ -200,8 +197,7 @@ class ThetaCoefficients:
         return [norm for norm, _ in self.entries]
 
 
-def _theta(lattice: Lattice, translates, m_max: float,
-           budget: int) -> ThetaCoefficients:
+def _theta(lattice: Lattice, translates, m_max: float) -> ThetaCoefficients:
     """Counts of the vectors t_j - t_k + Lattice over ell, bucketed by norm.
 
     Each (j, k) pair has its own node budget.  The counts are exact: ints
@@ -211,15 +207,15 @@ def _theta(lattice: Lattice, translates, m_max: float,
     half the ball: each value counts twice, and the zero vector, which
     is its own mirror, once.
     """
-    if not m_max >= 0:
-        raise ValueError("m_max must be >= 0")
+    if not 0 <= m_max < math.inf:
+        raise ValueError(f"m_max must be >= 0 and finite, got {m_max}")
     counts = Counter()
     for tj, tk in itertools.product(translates, repeat=2):
         shift = lattice.coords_of(tj - tk)
         half = not np.any(shift)
         hits = Counter({0.0: -1} if half else {})
         for _z, values in _quadratic_blocks(lattice.gram, shift, m_max + 1e-9,
-                                            budget, half=half):
+                                            half=half):
             keys, n = np.unique(values, return_counts=True)
             for value, hit in zip(keys.tolist(), n.tolist()):
                 hits[value] += 2 * hit if half else hit
@@ -231,10 +227,9 @@ def _theta(lattice: Lattice, translates, m_max: float,
         for key, cnt in sorted(counts.items())))
 
 
-def theta_lattice(lattice: Lattice, m_max: float,
-                  budget: int = DEFAULT_POINT_BUDGET) -> ThetaCoefficients:
+def theta_lattice(lattice: Lattice, m_max: float) -> ThetaCoefficients:
     """Counts N(m) of lattice points with squared norm m <= m_max."""
-    return _theta(lattice, [np.zeros(lattice.dimension)], m_max, budget)
+    return _theta(lattice, [np.zeros(lattice.dimension)], m_max)
 
 
 @dataclass(frozen=True)
@@ -298,28 +293,29 @@ def coset_min_norm(lattice: Lattice, t) -> float:
     return max(best, 0.0)
 
 
-def theta_periodic(packing: PeriodicPacking, m_max: float,
-                   budget: int = DEFAULT_POINT_BUDGET) -> ThetaCoefficients:
+def theta_periodic(packing: PeriodicPacking, m_max: float) -> ThetaCoefficients:
     """Averaged counts over all translate pairs; exact rationals over ell.
 
     With one translate the packing is a shifted lattice, and the counts
     are those of the lattice (ints).
     """
-    return _theta(packing.lattice, packing.translate_vectors, m_max, budget)
+    return _theta(packing.lattice, packing.translate_vectors, m_max)
 
 
 # ---------------------------------------------------------------------------
 # Spherical codes cut out of packings
 # ---------------------------------------------------------------------------
 
-def _centers_at_distance(packing: PeriodicPacking, x0: np.ndarray, u: float,
-                         budget: int = DEFAULT_POINT_BUDGET) -> np.ndarray:
+def _centers_at_distance(packing: PeriodicPacking, x0: np.ndarray, u: float) -> np.ndarray:
+    try:
+        bound = (u + SHELL_TOL) ** 2
+    except OverflowError:
+        raise ValueError(f"u = {u} is too large: the squared shell radius overflows") from None
     lat = packing.lattice
     found = []
     for t in packing.translate_vectors:
         shift = lat.coords_of(t - x0)
-        blocks = [z for z, _v in _quadratic_blocks(lat.gram, shift,
-                                                    (u + SHELL_TOL) ** 2, budget)]
+        blocks = [z for z, _v in _quadratic_blocks(lat.gram, shift, bound)]
         z = (np.concatenate(blocks) if blocks
              else np.zeros((0, lat.dimension), dtype=np.int64))
         centers = (z + shift) @ lat.basis
@@ -328,8 +324,7 @@ def _centers_at_distance(packing: PeriodicPacking, x0: np.ndarray, u: float,
     return np.concatenate(found)
 
 
-def shell_code(packing: PeriodicPacking, x0, u: float,
-               budget: int = DEFAULT_POINT_BUDGET):
+def shell_code(packing: PeriodicPacking, x0, u: float):
     """Spherical code of sphere centers at distance u from x0, with certificate.
 
     Returns ``(code, certificate)`` where the certificate records the
@@ -347,7 +342,7 @@ def shell_code(packing: PeriodicPacking, x0, u: float,
         )
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must have finite coordinates")
-    centers = _centers_at_distance(packing, x0, u, budget)
+    centers = _centers_at_distance(packing, x0, u)
     if centers.shape[0] < 2:
         raise ValueError(f"shell at distance {u} has {centers.shape[0]} centers")
     code = SphericalCode(centers / u, normalize=True, check_distinct=False)
@@ -362,15 +357,14 @@ def shell_code(packing: PeriodicPacking, x0, u: float,
                   "card": code.card}
 
 
-def kissing_configuration(packing: PeriodicPacking, center_index: int = 0,
-                          budget: int = DEFAULT_POINT_BUDGET) -> SphericalCode:
+def kissing_configuration(packing: PeriodicPacking, center_index: int = 0) -> SphericalCode:
     """Normalized tangency directions around one translate's sphere."""
     ts = packing.translate_vectors
     if not (0 <= center_index < len(ts)):
         raise ValueError("center index out of range")
     x0 = ts[center_index]
     # shell_code certifies 2 asin(r / 2r) = pi/3 with the same 1e-9 slack
-    return shell_code(packing, x0, 2.0 * packing.radius, budget)[0]
+    return shell_code(packing, x0, 2.0 * packing.radius)[0]
 
 
 # ---------------------------------------------------------------------------

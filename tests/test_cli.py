@@ -301,12 +301,35 @@ def test_malformed_input_file_gives_one_error_line(capsys, tmp_path, command, da
     (["theta", "--lattice", "Z", "--dim", "-1"], "Z^n needs n >= 1, got -1"),
     (["kissing", "--dim", "0"], "Z^n needs n >= 1, got 0"),
     (["theta", "--lattice", ""], "unknown lattice ''; known: ['A2', 'D4', 'E8', 'Z']"),
+    (["theta", "--lattice", "E8", "--m-max", "inf"], "m_max must be >= 0 and finite, got inf"),
+    (["theta", "--lattice", "E8", "--m-max", "nan"], "m_max must be >= 0 and finite, got nan"),
+    (["shell", "--lattice", "A2", "--u", "1e300"],
+     "u = 1e+300 is too large: the squared shell radius overflows"),
+    (["density", "--code", ""], "--code needs a file name, got ''"),
 ])
 def test_domain_errors_name_their_input(capsys, argv, message):
     rc, out, err = run(capsys, *argv)
     assert rc == 1
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [["theta"], ["kissing"], ["shell", "--u", "1"],
+                                     ["density"]])
+@pytest.mark.parametrize("option, message", [
+    ("--lattice", "unknown lattice ''; known: ['A2', 'D4', 'E8', 'Z']"),
+    ("--lattice-file", "--lattice-file needs a file name, got ''"),
+])
+def test_empty_lattice_options_are_errors(capsys, command, option, message):
+    # an empty value is a name given, not an option left out
+    rc, out, err = run(capsys, *command, option, "")
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_u_starting_with_a_dash_needs_the_equals_form(capsys):
+    # argparse reads "-inf" as an option; README documents --u=-inf
+    rc, out, _err = run(capsys, "shell", "--lattice", "Z", "--u", "-inf")
+    assert (rc, out) == (2, "")
 
 
 def test_lattice_defaults_to_z_of_dim(capsys):

@@ -948,16 +948,18 @@ def test_enumeration_matches_recursive_walk(name):
 
 
 @pytest.mark.parametrize("name", sorted(ENUMERATIONS))
-def test_enumeration_budget_is_the_node_count(name):
+def test_enumeration_budget_is_the_node_count(name, monkeypatch):
     gram, center, bound = ENUMERATIONS[name]()
     nodes = []
     list(ref_enumerate_quadratic(gram, center, bound, nodes=nodes))
-    list(packings.enumerate_quadratic(gram, center, bound, budget=nodes[0]))
+    monkeypatch.setattr(packings, "NODE_BUDGET", nodes[0])
+    list(packings.enumerate_quadratic(gram, center, bound))
+    list(packings._quadratic_blocks(gram, center, bound))
+    monkeypatch.setattr(packings, "NODE_BUDGET", nodes[0] - 1)
     with pytest.raises(BudgetExceeded):
-        list(packings.enumerate_quadratic(gram, center, bound, budget=nodes[0] - 1))
-    list(packings._quadratic_blocks(gram, center, bound, budget=nodes[0]))
+        list(packings.enumerate_quadratic(gram, center, bound))
     with pytest.raises(BudgetExceeded):
-        list(packings._quadratic_blocks(gram, center, bound, budget=nodes[0] - 1))
+        list(packings._quadratic_blocks(gram, center, bound))
 
 
 # (lattice, translates, m_max): the ENUMERATIONS cases as theta queries, E8 to
@@ -977,7 +979,7 @@ THETA_CASES = {
 @pytest.mark.parametrize("name", sorted(THETA_CASES))
 def test_block_counts_match_the_point_view(name):
     lattice, translates, m_max = THETA_CASES[name]()
-    theta = packings._theta(lattice, translates, m_max, packings.DEFAULT_POINT_BUDGET)
+    theta = packings._theta(lattice, translates, m_max)
     assert repr(theta.entries) == repr(ref_theta(lattice, translates, m_max))
     packing = packings.touching_packing(lattice, translates)
     x0 = translates[-1]
@@ -989,19 +991,21 @@ def test_block_counts_match_the_point_view(name):
 
 
 @pytest.mark.parametrize("name", ["E8", "D4", "A2", "E8-12"])
-def test_theta_budget_is_the_node_count(name):
+def test_theta_budget_is_the_node_count(name, monkeypatch):
     # theta walks half the ball about 0, so its budget counts the half walk
     lattice, _translates, m_max = THETA_CASES[name]()
     nodes = []
     list(ref_enumerate_quadratic(lattice.gram, np.zeros(lattice.dimension), m_max + 1e-9,
                                  nodes=nodes, half=True))
-    packings.theta_lattice(lattice, m_max, budget=nodes[0])
+    monkeypatch.setattr(packings, "NODE_BUDGET", nodes[0])
+    packings.theta_lattice(lattice, m_max)
+    monkeypatch.setattr(packings, "NODE_BUDGET", nodes[0] - 1)
     with pytest.raises(BudgetExceeded):
-        packings.theta_lattice(lattice, m_max, budget=nodes[0] - 1)
+        packings.theta_lattice(lattice, m_max)
 
 
 @pytest.mark.parametrize("name", ["E8", "D4", "A2"])
-def test_half_walk_is_the_sign_rule_of_the_full_walk(name):
+def test_half_walk_is_the_sign_rule_of_the_full_walk(name, monkeypatch):
     gram, center, bound = ENUMERATIONS[name]()
     n = gram.shape[0]
     full_nodes, half_nodes = [], []
@@ -1012,13 +1016,13 @@ def test_half_walk_is_the_sign_rule_of_the_full_walk(name):
     assert [(z.tolist(), q) for z, q in ref] == [(z.tolist(), q) for z, q in kept]
     # every node pairs with its mirror except the 2a + 1 of the n zero-prefix frames
     assert 2 * half_nodes[0] == full_nodes[0] + n
-    blocks = list(packings._quadratic_blocks(gram, center, bound, budget=half_nodes[0],
-                                             half=True))
+    monkeypatch.setattr(packings, "NODE_BUDGET", half_nodes[0])
+    blocks = list(packings._quadratic_blocks(gram, center, bound, half=True))
     assert np.array_equal(np.concatenate([z for z, _ in blocks]), [z for z, _ in ref])
     assert np.array_equal(np.concatenate([v for _, v in blocks]), [q for _, q in ref])
+    monkeypatch.setattr(packings, "NODE_BUDGET", half_nodes[0] - 1)
     with pytest.raises(BudgetExceeded):
-        list(packings._quadratic_blocks(gram, center, bound, budget=half_nodes[0] - 1,
-                                        half=True))
+        list(packings._quadratic_blocks(gram, center, bound, half=True))
 
 
 def test_half_walk_node_counts_on_e8_to_norm_12():
@@ -1035,6 +1039,20 @@ def test_half_walk_node_counts_on_e8_to_norm_12():
 def test_half_walk_needs_a_zero_center():
     with pytest.raises(ValueError, match="zero center"):
         list(packings._quadratic_blocks(np.eye(2), np.array([0.0, 0.5]), 4.0, half=True))
+
+
+def test_whole_walk_gives_minus_z_the_value_of_z_to_the_bit():
+    # the half walk counts z for -z; a prefix sum whose rounding depends on
+    # the row's position in its block (a BLAS product) breaks this here
+    for n in range(8, 14):
+        for seed in range(5):
+            a = np.random.default_rng(1000 * n + seed).standard_normal((n, n))
+            gram = a @ a.T + 0.5 * np.eye(n)
+            values = {}
+            for z, v in packings._quadratic_blocks(gram, np.zeros(n),
+                                                   4 * float(np.min(np.diag(gram)))):
+                values.update(zip(map(tuple, z.tolist()), v.tolist()))
+            assert all(values[tuple(-x for x in z)] == q for z, q in values.items())
 
 
 def unimodular(n, rng, ops):
@@ -1061,8 +1079,7 @@ def test_half_walk_theta_matches_the_full_walk_on_skewed_bases(name, seed, ops):
     basis, m_max = SKEWABLE[name][0](), SKEWABLE[name][1]
     u = unimodular(basis.shape[0], np.random.default_rng(seed), ops)
     lattice = packings.Lattice(u @ basis)
-    theta = packings._theta(lattice, [np.zeros(lattice.dimension)], m_max,
-                            packings.DEFAULT_POINT_BUDGET)
+    theta = packings._theta(lattice, [np.zeros(lattice.dimension)], m_max)
     assert repr(theta.entries) == repr(ref_theta(lattice, [np.zeros(lattice.dimension)],
                                                  m_max))
 
@@ -1074,7 +1091,7 @@ def test_half_walk_theta_matches_the_full_walk_on_random_grams(n, seed, m_max):
     # a random positive-definite Gram matrix, kept away from singular
     a = rng.standard_normal((n, n))
     lattice = packings.Lattice(np.linalg.cholesky(a @ a.T + 0.5 * np.eye(n)))
-    theta = packings._theta(lattice, [np.zeros(n)], m_max, packings.DEFAULT_POINT_BUDGET)
+    theta = packings._theta(lattice, [np.zeros(n)], m_max)
     assert repr(theta.entries) == repr(ref_theta(lattice, [np.zeros(n)], m_max))
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -157,11 +158,10 @@ def test_enumeration_budget_counted_before_overflow():
         list(packings.enumerate_quadratic(np.eye(2), np.zeros(2), 1e300))
 
 
-def test_enumeration_budget():
+def test_enumeration_budget(monkeypatch):
+    monkeypatch.setattr(packings, "NODE_BUDGET", 10)
     with pytest.raises(BudgetExceeded):
-        list(packings.enumerate_quadratic(
-            np.eye(3), np.zeros(3), 100.0, budget=10
-        ))
+        list(packings.enumerate_quadratic(np.eye(3), np.zeros(3), 100.0))
 
 
 def test_theta_periodic_translate_average():
@@ -226,6 +226,13 @@ def test_kissing_d4():
     assert code.card == 24
 
 
+def test_kissing_of_z200():
+    # one node per frame below the first nonzero coordinate: many tiny frames
+    packing = packings.touching_packing(packings.integer_lattice(200))
+    assert packing.radius == 0.5
+    assert packings.kissing_configuration(packing).card == 400
+
+
 def test_shell_code_certificate():
     packing = packings.touching_packing(packings.integer_lattice(2))
     code, cert = packings.shell_code(packing, np.zeros(2), math.sqrt(2))
@@ -249,6 +256,19 @@ def test_shell_code_rejects_u_outside_the_positive_reals(u):
     packing = packings.touching_packing(packings.integer_lattice(2))
     with pytest.raises(ValueError, match="u must be positive and finite"):
         packings.shell_code(packing, np.zeros(2), u)
+
+
+@pytest.mark.parametrize("u", [1e300, 1.5e154])
+def test_shell_code_names_a_u_whose_squared_radius_overflows(u):
+    packing = packings.touching_packing(packings.hexagonal_lattice())
+    with pytest.raises(ValueError, match=re.escape(f"u = {u} is too large")):
+        packings.shell_code(packing, np.zeros(2), u)
+
+
+@pytest.mark.parametrize("m_max", [math.inf, math.nan, -1.0])
+def test_theta_rejects_m_max_outside_zero_to_inf(m_max):
+    with pytest.raises(ValueError, match=f"m_max must be >= 0 and finite, got {m_max}"):
+        packings.theta_lattice(packings.e8_lattice(), m_max)
 
 
 @pytest.mark.parametrize("x0", [[math.nan, 0.0], [0.0, math.inf]])
