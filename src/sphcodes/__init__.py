@@ -4,7 +4,6 @@ from .binary import (
     BinaryCode,
     BinaryCodePoint,
     code_parameters,
-    controlling_cones,
     embed_binary,
     hamming_distance,
     load_binary_code,

@@ -259,11 +259,6 @@ class ConeSet:
         return geometry.quadrant(-_side(p, (0.0, 1.0), q), _side(p, (1.0, 0.0), q))
 
 
-def controlling_cones(p: BinaryCodePoint) -> ConeSet:
-    """Cone set of an anchor strictly inside (0, 1)^2."""
-    return ConeSet(p)
-
-
 def numerical_spoil_points(
     p: BinaryCodePoint, n: int
 ) -> tuple[tuple[float, float], tuple[float, float]]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,21 +22,19 @@ from .emit import fmt
 from .errors import SphCodesError
 
 
-def _write(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
-
-
-def _print_with_code(rows: list[str], code: spherical.SphericalCode, path: str | None) -> None:
-    """Print ``rows`` and write ``code`` to ``path`` if given: a file before
-    the rows, so that a failed write prints nothing, and "-" after them."""
-    if path and path != "-":
-        _write(path, spherical.dump_spherical_code(code))
-    print("\n".join(rows))
-    if path == "-":
-        _write(path, spherical.dump_spherical_code(code))
+def _write(path: str | None, text: str, rows=()) -> None:
+    """Print ``rows`` and write ``text`` to the file ``path``, or after the
+    rows to stdout when ``path`` is None or "-".  A file is written before
+    anything is printed, so that a failed write prints nothing."""
+    if path is not None and path != "-":
+        if not path:
+            raise ValueError("--out needs a file name, got ''")
+        try:
+            Path(path).write_text(text)
+        except OSError as exc:
+            raise ValueError(f"--out {path!r}: {exc.strerror or exc}") from None
+        text = ""
+    sys.stdout.write("".join(row + "\n" for row in rows) + text)
 
 
 def _numbers(text: str, option: str, kind=float) -> list:
@@ -59,16 +58,29 @@ def _line_arg(text: str) -> spherical.LineThroughOrigin:
 
 
 def _read_file(path: str, option: str) -> str:
+    """The text of the file ``path`` given to ``option``."""
     if not path:
         raise ValueError(f"{option} needs a file name, got ''")
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"{option} {path!r}: {exc.strerror or exc}") from None
+
+
+def _z_dim(args, is_z: bool) -> int:
+    """The n of Z^n that --dim sets, 2 when it is not given; --dim with any
+    other lattice, or with none, is an error."""
+    if args.dim is not None and not is_z:
+        raise ValueError("--dim applies only to Z")
+    return 2 if args.dim is None else args.dim
 
 
 def _load_packing_arg(args) -> packings.PeriodicPacking:
+    name = "Z" if args.lattice is None else args.lattice
+    dim = _z_dim(args, name == "Z" and args.lattice_file is None)
     if args.lattice_file is not None:
         return packings.load_packing(_read_file(args.lattice_file, "--lattice-file"))
-    lat = packings.lattice_by_name("Z" if args.lattice is None else args.lattice, args.dim)
-    return packings.touching_packing(lat)
+    return packings.touching_packing(packings.lattice_by_name(name, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -103,15 +115,12 @@ def cmd_figures(args) -> int:
         args.which, n_values=n_values, n=args.n, m_values=m_values,
         samples=args.samples,
     )
-    if args.format == "svg":
-        _write(args.out, emit.curves_to_svg(curves))
-    else:
-        _write(args.out, emit.curves_to_csv(curves))
+    _write(args.out, (emit.curves_to_svg if args.format == "svg" else emit.curves_to_csv)(curves))
     return 0
 
 
 def cmd_embed(args) -> int:
-    code = binary.load_binary_code(Path(args.input).read_text())
+    code = binary.load_binary_code(_read_file(args.input, "input"))
     sph = binary.embed_binary(code)
     _write(args.out, spherical.dump_spherical_code(sph))
     pt = binary.code_parameters(code)
@@ -122,9 +131,9 @@ def cmd_embed(args) -> int:
 
 
 def cmd_spoil(args) -> int:
-    code = spherical.load_spherical_code(
-        Path(args.input).read_text(), normalize=args.normalize
-    )
+    code = spherical.load_spherical_code(_read_file(args.input, "input"),
+                                         normalize=args.normalize)
+    xi = None
     if args.op == "1":
         out = spherical.spoil1_lambda(code, args.lam)
     elif args.op in ("2", "3"):
@@ -134,8 +143,6 @@ def cmd_spoil(args) -> int:
             line, sign, _c = spherical.find_balanced_line(code, seed=args.seed)
         if args.op == "2":
             out, xi = spherical.spoil2(code, line)
-            print(f"# xi={fmt(xi)} u={fmt(spherical.xi_to_u(xi))}",
-                  file=sys.stderr)
         else:
             out = spherical.spoil3(code, line, sign)
     elif args.op == "up":
@@ -143,6 +150,8 @@ def cmd_spoil(args) -> int:
     else:  # "down"
         out = spherical.composite_spoil_down(code, args.phi_c, seed=args.seed)
     _write(args.out, spherical.dump_spherical_code(out))
+    if xi is not None:
+        print(f"# xi={fmt(xi)} u={fmt(spherical.xi_to_u(xi))}", file=sys.stderr)
     print(f"# result n={out.dimension} card={out.card} "
           f"cos_phi={fmt(out.cos_min_angle)}", file=sys.stderr)
     return 0
@@ -157,9 +166,7 @@ def cmd_atlas(args) -> int:
 
 def cmd_theta(args) -> int:
     coeffs = packings.theta_periodic(_load_packing_arg(args), args.m_max)
-    rows = ["m,count"]
-    for m, cnt in coeffs.entries:
-        rows.append(f"{fmt(m)},{cnt}")
+    rows = ["m,count", *(f"{fmt(m)},{cnt}" for m, cnt in coeffs.entries)]
     _write(args.out, "\n".join(rows) + "\n")
     return 0
 
@@ -171,7 +178,7 @@ def cmd_kissing(args) -> int:
     # failure leaves stdout empty
     rows = [f"card {code.card}", f"min_angle {fmt(code.min_angle)}",
             f"density {fmt(packings.code_density(code))}"]
-    _print_with_code(rows, code, args.out)
+    _write(args.out, "" if args.out is None else spherical.dump_spherical_code(code), rows)
     return 0
 
 
@@ -184,19 +191,20 @@ def cmd_shell(args) -> int:
     rows = [f"card {cert['card']}",
             f"guaranteed_min_angle {fmt(cert['guaranteed_min_angle'])}",
             f"recomputed_min_angle {fmt(cert['recomputed_min_angle'])}"]
-    _print_with_code(rows, code, args.out)
+    _write(args.out, "" if args.out is None else spherical.dump_spherical_code(code), rows)
     return 0
 
 
 def cmd_density(args) -> int:
+    if args.code is None and (args.lattice_file is not None or args.lattice is not None):
+        packing = _load_packing_arg(args)
+        print(f"packing_density {fmt(packings.packing_density(packing))}")
+        return 0
+    _z_dim(args, is_z=False)  # neither --code nor --n/--phi takes a lattice
     if args.code is not None:
         code = spherical.load_spherical_code(_read_file(args.code, "--code"),
                                              normalize=args.normalize)
         print(f"code_density {fmt(packings.code_density(code))}")
-        return 0
-    if args.lattice_file is not None or args.lattice is not None:
-        packing = _load_packing_arg(args)
-        print(f"packing_density {fmt(packings.packing_density(packing))}")
         return 0
     # every value is computed before the first line is printed, so that a
     # failure leaves stdout empty
@@ -213,11 +221,8 @@ def cmd_density(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    suites = {
-        "spoiling": verify.verify_spoiling,
-        "bounds": verify.verify_bounds,
-        "packings": verify.verify_packings,
-    }
+    suites = {"spoiling": verify.verify_spoiling, "bounds": verify.verify_bounds,
+              "packings": verify.verify_packings}
     names = [args.suite] if args.suite != "all" else list(suites)
     failed = 0
     for name in names:
@@ -232,10 +237,11 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _lattice_options(parser: argparse.ArgumentParser) -> None:
-    """--lattice (Z when neither it nor --lattice-file is given), --lattice-file, --dim."""
+    """--lattice (Z when neither it nor --lattice-file is given), --lattice-file,
+    and --dim, the n of Z^n (2 when not given), accepted only for Z."""
     parser.add_argument("--lattice")
     parser.add_argument("--lattice-file")
-    parser.add_argument("--dim", type=int, default=2)
+    parser.add_argument("--dim", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,7 +334,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # a library warning prints as one line; the filters stay as they are
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}",
+                                                             file=sys.stderr)
+            return args.func(args)
     except (SphCodesError, ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,6 +1,6 @@
 """Floating-point primitives for points on unit spheres.
 
-Angles, chordal distances, hyperplane sections and projections along a
+Angles, the chords of near pairs, hyperplane sections and projections along a
 line through the origin.  All functions are pure; arrays are never
 mutated in place.
 """
@@ -133,11 +133,6 @@ def cos_angle(x, y) -> float:
 def angle_between(x, y) -> float:
     """Angle in [0, pi] between two unit vectors of the same dimension."""
     return float(np.arccos(cos_angle(x, y)))
-
-
-def chordal_distance(x, y) -> float:
-    """Euclidean distance between unit vectors, sqrt(2 - 2 cos(angle))."""
-    return float(np.sqrt(max(0.0, 2.0 - 2.0 * cos_angle(x, y))))
 
 
 def pairwise_cos(points: np.ndarray) -> np.ndarray:

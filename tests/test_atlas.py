@@ -144,3 +144,8 @@ def test_dump_contains_header_and_grid():
     assert lines[0] == "# atlas snapshot"
     assert lines[1].startswith("phi_c ")
     assert f"envelope {atlas.phi_grid.size}" in text
+
+
+def test_alpha_needs_an_envelope():
+    with pytest.raises(ValueError, match="atlas has no envelope yet"):
+        atlas_mod.Atlas(bounds.CutoffRegion(0.4)).alpha(0.5)

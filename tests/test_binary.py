@@ -160,7 +160,7 @@ def test_embedding_angle_identity(seed):
 
 def test_cone_membership_quadrants():
     p = binary.BinaryCodePoint(rate=0.5, delta=0.25, n=4, k=2, d=1)
-    cones = binary.controlling_cones(p)
+    cones = binary.ConeSet(p)
     assert cones.membership((0.1, 0.1)) == "D"
     assert cones.membership((0.9, 0.9)) == "U"
     # L1 passes through (0, 1), L2 through (1, 0)
@@ -172,7 +172,7 @@ def test_cone_membership_quadrants():
 
 
 def test_cone_boundary_slack_is_1e12():
-    cones = binary.controlling_cones(
+    cones = binary.ConeSet(
         binary.BinaryCodePoint(rate=0.75, delta=0.5, n=8, k=6, d=2))
     # the signed area from L1 of (t, 1) is exactly -t/2, and from L2 of
     # (1, s) exactly s/4: 2^-40 is 9.1e-13 and 2^-39 is 1.8e-12
@@ -187,7 +187,7 @@ def test_cone_membership_at_a_subnormal_anchor():
     # the origin's area about L1 is R delta + R (1 - delta), which rounds to 0
     # at R = 5e-324 and delta = 1/2, so comparing with it would label this
     # point D; its signed areas are -1/4 about both lines, which is R
-    cones = binary.controlling_cones(
+    cones = binary.ConeSet(
         binary.BinaryCodePoint(rate=5e-324, delta=0.5, n=4, k=2, d=1))
     assert cones.membership((0.5, 0.0)) == "R"
 
@@ -195,7 +195,7 @@ def test_cone_membership_at_a_subnormal_anchor():
 def test_cone_partition_random_points():
     rng = np.random.default_rng(7)
     p = binary.BinaryCodePoint(rate=0.4, delta=0.3, n=10, k=4, d=3)
-    cones = binary.controlling_cones(p)
+    cones = binary.ConeSet(p)
     labels = set()
     for _ in range(500):
         q = (float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
@@ -207,7 +207,7 @@ def test_cone_partition_random_points():
 def test_degenerate_anchor_rejected():
     p = binary.BinaryCodePoint(rate=0.0, delta=0.5, n=4, k=0, d=2)
     with pytest.raises(DegenerateAnchor):
-        binary.controlling_cones(p)
+        binary.ConeSet(p)
 
 
 @pytest.mark.parametrize("rate, delta", [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0),
@@ -244,3 +244,41 @@ def test_load_rejects_non_binary():
     with pytest.raises(InputFormatError) as err:
         binary.load_binary_code("01\n0x\n")
     assert err.value.line == 2
+
+
+def three_words():
+    return binary.BinaryCode(["000", "011", "101"])
+
+
+# the boundary checks that no other test reaches: (call, exception, message fragment)
+@pytest.mark.parametrize("call, exc, fragment", [
+    pytest.param(lambda: binary.constant("2"), ValueError,
+                 "constant bit must be '0' or '1'", id="constant-bit"),
+    pytest.param(lambda: binary.spoil1_binary(three_words(), 4, binary.constant("0")),
+                 ValueError, "insert position 4 outside 0..3", id="spoil1-position"),
+    pytest.param(lambda: binary.spoil1_binary(three_words(), 0, lambda w: "x"), ValueError,
+                 "f is undefined (or non-binary) on word '000'", id="spoil1-f"),
+    pytest.param(lambda: binary.spoil2_binary(binary.BinaryCode(["0", "1"]), 0), ValueError,
+                 "cannot delete a coordinate of a length-1 code", id="spoil2-length-1"),
+    pytest.param(lambda: binary.spoil2_binary(three_words(), 3), ValueError,
+                 "position 3 outside 0..2", id="spoil2-position"),
+    pytest.param(lambda: binary.spoil3_binary(three_words(), -1), ValueError,
+                 "position -1 outside 0..2", id="spoil3-position"),
+    pytest.param(lambda: binary.spoil3_binary(binary.BinaryCode(["01"]), 0), ValueError,
+                 "auto-select needs at least two words", id="spoil3-one-word"),
+    pytest.param(lambda: binary.spoil3_binary(three_words(), 0, "2"), ValueError,
+                 "symbol must be '0' or '1'", id="spoil3-symbol"),
+    pytest.param(lambda: binary.spoil3_binary(binary.BinaryCode(["00", "01"]), 0, "1"),
+                 ValueError, "no word carries '1' at position 0", id="spoil3-empty"),
+    pytest.param(lambda: binary.embed_binary(binary.BinaryCode(["010"])), ValueError,
+                 "embedding needs at least two words", id="embed-one-word"),
+    pytest.param(lambda: binary.numerical_spoil_points(
+                     binary.BinaryCodePoint(rate=0.5, delta=0.25, n=4, k=2, d=1), 1),
+                 ValueError, "n must be >= 2", id="spoil-points-n"),
+    pytest.param(lambda: binary.load_binary_code("# c\n"), InputFormatError,
+                 "no words found", id="load-no-words"),
+])
+def test_boundary_checks(call, exc, fragment):
+    with pytest.raises(exc) as err:
+        call()
+    assert fragment in str(err.value)

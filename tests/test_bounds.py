@@ -263,3 +263,34 @@ def test_anchor_outside_window_rejected():
     cut = bounds.CutoffRegion(0.5)
     with pytest.raises(ValueError):
         bounds.ControllingRegions((0.95, 0.1), cut)
+
+
+# the boundary checks that no other test reaches: (call, exception, message fragment)
+@pytest.mark.parametrize("call, exc, fragment", [
+    pytest.param(lambda: bounds.rankin_curve(0, 2.0), ValueError, "n must be >= 1",
+                 id="rankin-n"),
+    pytest.param(lambda: bounds.rankin_curve(2, 1.0), ValueError,
+                 "phi must be in (pi/2, pi], got 1.0", id="rankin-phi"),
+    pytest.param(lambda: bounds.simplex_code(0), ValueError, "n must be >= 1",
+                 id="simplex-n"),
+    pytest.param(lambda: bounds.BoundCurve("c", np.array([1.0, 0.5]), np.zeros(2),
+                                           (0.0, 2.0)),
+                 ValueError, "samples must be strictly increasing in phi",
+                 id="curve-order"),
+    pytest.param(lambda: bounds.BoundCurve("c", np.array([0.5, 1.0]),
+                                           np.array([0.1, math.nan]), (0.0, 2.0)),
+                 ValueError, "rate values must be finite and >= 0 in range",
+                 id="curve-nan-rate"),
+    pytest.param(lambda: bounds.figure_curves("fig1", n_values=[]), ValueError,
+                 "empty n range", id="fig1-empty"),
+    pytest.param(lambda: bounds.figure_curves("fig3", m_values=[]), ValueError,
+                 "empty m range", id="fig3-empty"),
+    pytest.param(lambda: bounds.figure_curves("fig4"), ValueError,
+                 "unknown figure 'fig4'", id="unknown-figure"),
+    pytest.param(lambda: bounds.CutoffRegion(0.0), ValueError,
+                 "phi_c must be in (0, pi/2), got 0.0", id="cutoff-phi-c"),
+])
+def test_boundary_checks(call, exc, fragment):
+    with pytest.raises(exc) as err:
+        call()
+    assert fragment in str(err.value)

@@ -21,9 +21,10 @@ def test_unknown_subcommand_exits_2(capsys):
 
 
 def test_missing_file_exits_1(capsys, tmp_path):
-    rc, _out, err = run(capsys, "embed", str(tmp_path / "nope.txt"))
-    assert rc == 1
-    assert "error:" in err
+    path = tmp_path / "nope.txt"
+    rc, out, err = run(capsys, "embed", str(path))
+    assert (rc, out) == (1, "")
+    assert err == f"error: input {str(path)!r}: No such file or directory\n"
 
 
 def test_bounds_single_point(capsys):
@@ -306,6 +307,15 @@ def test_malformed_input_file_gives_one_error_line(capsys, tmp_path, command, da
     (["shell", "--lattice", "A2", "--u", "1e300"],
      "u = 1e+300 is too large: the squared shell radius overflows"),
     (["density", "--code", ""], "--code needs a file name, got ''"),
+    (["spoil", "", "--op", "up"], "input needs a file name, got ''"),
+    (["embed", ""], "input needs a file name, got ''"),
+    (["kissing", "--lattice", "A2", "--out", ""], "--out needs a file name, got ''"),
+    (["shell", "--lattice", "A2", "--u", "1", "--out", ""], "--out needs a file name, got ''"),
+    (["theta", "--lattice", "A2", "--out", ""], "--out needs a file name, got ''"),
+    (["atlas", "--budget", "5", "--out", ""], "--out needs a file name, got ''"),
+    (["theta", "--lattice", "D4", "--dim", "9"], "--dim applies only to Z"),
+    (["kissing", "--lattice", "E8", "--dim", "3"], "--dim applies only to Z"),
+    (["density", "--dim", "5", "--n", "3", "--phi", "1"], "--dim applies only to Z"),
 ])
 def test_domain_errors_name_their_input(capsys, argv, message):
     rc, out, err = run(capsys, *argv)
@@ -326,6 +336,13 @@ def test_empty_lattice_options_are_errors(capsys, command, option, message):
     assert (rc, out, err) == (1, "", f"error: {message}\n")
 
 
+def test_dim_with_a_lattice_file_is_an_error(capsys, tmp_path):
+    path = tmp_path / "packing.txt"
+    path.write_text("dim 2\n1 0\n0 1\n")
+    rc, out, err = run(capsys, "theta", "--lattice-file", str(path), "--dim", "3")
+    assert (rc, out, err) == (1, "", "error: --dim applies only to Z\n")
+
+
 def test_u_starting_with_a_dash_needs_the_equals_form(capsys):
     # argparse reads "-inf" as an option; README documents --u=-inf
     rc, out, _err = run(capsys, "shell", "--lattice", "Z", "--u", "-inf")
@@ -337,6 +354,11 @@ def test_lattice_defaults_to_z_of_dim(capsys):
                                                        "--m-max", "2")
     rc, out, _ = run(capsys, "kissing", "--dim", "3")
     assert rc == 0 and out.startswith("card 6\n")
+    assert run(capsys, "theta", "--lattice", "Z", "--dim", "3", "--m-max", "1") == (
+        0, "m,count\n0,1\n1,6\n", "")
+    assert run(capsys, "theta", "--m-max", "1") == (0, "m,count\n0,1\n1,4\n", "")
+    assert run(capsys, "density", "--lattice", "Z", "--dim", "5") == (
+        0, "packing_density 0.164493406685\n", "")
 
 
 def test_theta_over_budget_fails_fast(capsys):
@@ -371,6 +393,27 @@ def test_unwritable_out_prints_nothing_to_stdout(capsys, tmp_path, argv):
     assert rc == 1
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_spoil_write_failure_prints_only_the_error(capsys, tmp_path):
+    # the "# xi" note follows the write, so a failed write prints only the error
+    path = tmp_path / "code.txt"
+    path.write_text("dim 2\n1 0\n0 1\n")
+    out_path = tmp_path / "missing" / "code.txt"
+    rc, out, err = run(capsys, "spoil", str(path), "--op", "2", "--line", "1,1",
+                       "--out", str(out_path))
+    assert (rc, out) == (1, "")
+    assert err == f"error: --out {str(out_path)!r}: No such file or directory\n"
+
+
+def test_library_warning_prints_one_line(capsys, tmp_path):
+    path = tmp_path / "code.txt"
+    path.write_text("dim 2\n1 0\n0 1\n-1 0\n")
+    rc, out, err = run(capsys, "spoil", str(path), "--op", "2", "--line", "1,1")
+    assert (rc, out) == (0, "dim 1\n-1\n1\n")
+    assert err.splitlines() == ["warning: spoil2 merged 1 coinciding projections",
+                                "# xi=0.707106781187 u=1",
+                                "# result n=1 card=2 cos_phi=-1"]
 
 
 @pytest.mark.parametrize("argv", [["kissing", "--lattice", "A2"],
@@ -410,6 +453,12 @@ def test_density_estimates(capsys):
     assert rc == 0
     assert "max_points_estimate 6" in out
     assert "packing_bound_proj 1.5" in out
+
+
+def test_density_estimate_past_a_right_angle(capsys):
+    rc, out, _ = run(capsys, "density", "--n", "3", "--phi", "2.0")
+    assert rc == 0
+    assert out.splitlines()[0] == "max_points_estimate 3.40299796172 (large-angle-bound)"
 
 
 # Gamma(n/2 + 1) in the sphere area overflows from n = 342 on, and the

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sphcodes import geometry
-from sphcodes.errors import DegenerateCode, PointOnAxis
+from sphcodes.errors import DegenerateCode, DimensionMismatch, PointOnAxis
 
 
 def unit_vectors(dim):
@@ -28,8 +28,8 @@ def test_angle_symmetric(x, y):
 
 @given(unit_vectors(7), unit_vectors(7))
 def test_chordal_identity(x, y):
-    # cos(angle) = 1 - dist^2 / 2 for unit vectors
-    d = geometry.chordal_distance(x, y)
+    # cos(angle) = 1 - chord^2 / 2 for unit vectors, the chord measured
+    d = np.linalg.norm(x - y)
     assert geometry.cos_angle(x, y) == pytest.approx(1 - d * d / 2, abs=1e-12)
 
 
@@ -40,7 +40,7 @@ def test_chordal_identity_random_dims(dim, seed):
     y = rng.standard_normal(dim)
     x /= np.linalg.norm(x)
     y /= np.linalg.norm(y)
-    d = geometry.chordal_distance(x, y)
+    d = np.linalg.norm(x - y)
     assert geometry.cos_angle(x, y) == pytest.approx(1 - d * d / 2, abs=1e-12)
 
 
@@ -129,3 +129,23 @@ def test_project_point_on_axis():
 def test_hyperplane_offset_domain():
     with pytest.raises(ValueError):
         geometry.Hyperplane(np.array([1.0, 0.0]), 1.0)
+
+
+# the boundary checks that no other test reaches: (call, exception, message fragment)
+@pytest.mark.parametrize("call, exc, fragment", [
+    pytest.param(lambda: geometry.as_unit([[1.0]]), ValueError,
+                 "unit vector must be a 1-d array of dimension >= 1", id="as-unit-shape"),
+    pytest.param(lambda: geometry.cos_angle([1.0, 0.0], [1.0, 0.0, 0.0]), DimensionMismatch,
+                 "dimensions 2 and 3 differ", id="cos-angle-dims"),
+    pytest.param(lambda: geometry.project_points(np.eye(3),
+                                                 geometry.LineThroughOrigin([1.0, 0.0])),
+                 DimensionMismatch, "points of shape (3, 3) != line dimension 2",
+                 id="project-dims"),
+    pytest.param(lambda: geometry.project_points([[2.0, 0.0, 0.0]],
+                                                 geometry.LineThroughOrigin([0.0, 0.0, 1.0])),
+                 ValueError, "point norms are not within", id="project-norm"),
+])
+def test_boundary_checks(call, exc, fragment):
+    with pytest.raises(exc) as err:
+        call()
+    assert fragment in str(err.value)

@@ -479,3 +479,43 @@ def test_load_packing_names_the_line_of_a_non_finite_coordinate(text, k):
 def test_load_packing_bad_header_line_has_line_number(text):
     with pytest.raises(InputFormatError, match=r"^line \d+: "):
         packings.load_packing(text)
+
+
+def z2_packing(**kwargs):
+    return packings.PeriodicPacking(packings.integer_lattice(2), **kwargs)
+
+
+# the boundary checks that no other test reaches: (call, exception, message fragment)
+@pytest.mark.parametrize("call, exc, fragment", [
+    pytest.param(lambda: packings.Lattice(np.ones(3)), ValueError,
+                 "basis must be a square matrix of row vectors", id="lattice-shape"),
+    pytest.param(lambda: z2_packing(translates=([0.0, 0.0, 0.0],)), ValueError,
+                 "translate dimension mismatch", id="translate-shape"),
+    pytest.param(lambda: z2_packing(translates=([math.nan, 0.0],)), ValueError,
+                 "translates must have finite coordinates", id="translate-nan"),
+    pytest.param(lambda: z2_packing(radius=0.0), ValueError, "radius must be positive",
+                 id="radius"),
+    pytest.param(lambda: packings.kissing_configuration(z2_packing(radius=None), 5),
+                 ValueError, "center index out of range", id="kissing-center"),
+    pytest.param(lambda: packings.sphere_area(0), ValueError, "n must be >= 1",
+                 id="sphere-area-n"),
+    pytest.param(lambda: packings.cap_area(3, 4.0), ValueError, "phi must be in [0, pi]",
+                 id="cap-area-phi"),
+    pytest.param(lambda: packings.max_code_density(3, 1.0, 0.0), ValueError,
+                 "cardinality estimate must be positive", id="max-density-card"),
+    pytest.param(lambda: packings.density_bounds(3, 0.0, lambda n, phi: 1.0), ValueError,
+                 "phi must be in (0, pi]", id="density-bounds-phi"),
+    pytest.param(lambda: packings.annulus_condition([0.0], 1.0), ValueError,
+                 "need at least two latitudes", id="annulus-count"),
+    pytest.param(lambda: packings.annulus_condition([0.0, math.pi / 2], 1.0), ValueError,
+                 "latitudes must run from -pi/2 to pi/2", id="annulus-ends"),
+    pytest.param(lambda: packings.annulus_condition(
+                     [-math.pi / 2, 0.5, 0.2, math.pi / 2], 1.0),
+                 ValueError, "latitudes must be strictly increasing", id="annulus-order"),
+    pytest.param(lambda: packings.checkerboard_lattice(1), ValueError, "n must be >= 2",
+                 id="checkerboard-n"),
+])
+def test_boundary_checks(call, exc, fragment):
+    with pytest.raises(exc) as err:
+        call()
+    assert fragment in str(err.value)

@@ -11,6 +11,7 @@ from sphcodes import atlas, binary, geometry, spherical
 from sphcodes.errors import (
     CollapseError,
     DegenerateCode,
+    DimensionMismatch,
     InputFormatError,
     LambdaOutOfRange,
 )
@@ -533,3 +534,53 @@ def test_load_and_spoil2_admit_the_unit_norm_tolerance():
     out, xi = spherical.spoil2(code, LineThroughOrigin(np.ones(3) / math.sqrt(3)))
     assert out.card == 3
     assert xi == pytest.approx(math.sqrt(2 / 3), abs=1e-9)
+
+
+# the boundary checks that no other test reaches: (call, exception, message
+# fragment).  Left out: the pipelines' LambdaOutOfRange and find_balanced_line's
+# SearchBudgetExhausted, internal failure paths that no small input reaches.
+@pytest.mark.parametrize("call, exc, fragment", [
+    pytest.param(lambda: spherical.SphericalCode(np.zeros((0, 3))), ValueError,
+                 "points must be a (card, n) array with card, n >= 1", id="code-shape"),
+    pytest.param(lambda: spherical.SphericalCode([[0.0, 0.0], [1.0, 0.0]], normalize=True),
+                 ValueError, "cannot normalize a zero point", id="code-zero-point"),
+    pytest.param(lambda: spherical.spoil1(square_code(), Hyperplane(np.array([1.0, 0.0]))),
+                 DimensionMismatch, "hyperplane lives in R^2, need R^3", id="spoil1-dims"),
+    pytest.param(lambda: spherical.spoil1_lambda(square_code(), 1.5), ValueError,
+                 "lambda must be in [0, 1], got 1.5", id="spoil1-lambda"),
+    pytest.param(lambda: spherical.spoil2(square_code(), LineThroughOrigin([0.0, 0.0, 1.0])),
+                 DimensionMismatch, "line dimension does not match the code",
+                 id="spoil2-dims"),
+    pytest.param(lambda: spherical.spoil2(spherical.SphericalCode([[1.0], [-1.0]]),
+                                          LineThroughOrigin([1.0])),
+                 DegenerateCode, "cannot project a code on S^0", id="spoil2-S0"),
+    pytest.param(lambda: spherical.spoil2(spherical.SphericalCode([[1.0, 0.0], [0.6, 0.8]]),
+                                          LineThroughOrigin([0.0, 1.0])),
+                 DegenerateCode, "all projections coincide", id="spoil2-one-ray",
+                 marks=pytest.mark.filterwarnings("ignore:spoil2 merged")),
+    pytest.param(lambda: spherical.xi_to_u(0.0), ValueError, "xi must be positive",
+                 id="xi-zero"),
+    pytest.param(lambda: spherical.spoil3(square_code(), LineThroughOrigin([0.0, 0.0, 1.0]), 1),
+                 DimensionMismatch, "line dimension does not match the code",
+                 id="spoil3-dims"),
+    pytest.param(lambda: spherical.spoil3(square_code(), LineThroughOrigin([1.0, 0.0]), 0),
+                 ValueError, "sign must be +1 or -1", id="spoil3-sign"),
+    pytest.param(lambda: spherical.find_balanced_line(spherical.SphericalCode([[1.0, 0.0]])),
+                 DegenerateCode, "balanced split needs at least two points",
+                 id="balanced-line-one-point"),
+    pytest.param(lambda: spherical.numerical_spoil(square_code(), "dim_up"), ValueError,
+                 "dim_up requires lam", id="template-lam"),
+    pytest.param(lambda: spherical.numerical_spoil(square_code(), "subcode", subcode_steps=0),
+                 ValueError, "subcode steps must satisfy 0 < a < k = 2", id="template-steps"),
+    pytest.param(lambda: spherical.numerical_spoil(square_code(), "bogus"), ValueError,
+                 "unknown template 'bogus'", id="template-name"),
+    pytest.param(lambda: spherical.composite_spoil_down(
+                     spherical.SphericalCode([[1.0, 0.0], [-1.0, 0.0]]), 0.1),
+                 ValueError, "violated precondition k >= a_c: 1 < 3", id="down-k"),
+    pytest.param(lambda: spherical.load_spherical_code("# c\n"), InputFormatError,
+                 "no points found", id="load-no-points"),
+])
+def test_boundary_checks(call, exc, fragment):
+    with pytest.raises(exc) as err:
+        call()
+    assert fragment in str(err.value)
