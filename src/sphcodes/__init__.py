@@ -5,7 +5,6 @@ from .binary import (
     BinaryCodePoint,
     code_parameters,
     embed_binary,
-    hamming_distance,
     load_binary_code,
     spoil1_binary,
     spoil2_binary,

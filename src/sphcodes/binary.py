@@ -9,7 +9,6 @@ coordinate deletion can merge words (d = 1) and can lower d by one.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -17,15 +16,8 @@ from typing import Callable
 import numpy as np
 
 from . import geometry
-from .errors import DegenerateAnchor, DimensionMismatch, InputFormatError
+from .errors import DegenerateAnchor, InputFormatError
 from .spherical import SphericalCode, text_lines
-
-
-def hamming_distance(a: str, b: str) -> int:
-    """Number of positions where two equal-length words differ."""
-    if len(a) != len(b):
-        raise DimensionMismatch(f"word lengths {len(a)} and {len(b)} differ")
-    return sum(map(operator.ne, a, b))
 
 
 def _parse_words(words: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -9,7 +9,7 @@ four controlling regions anchored at a code point inside it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -91,50 +91,51 @@ def _large_angle_grid(samples: int) -> np.ndarray:
     return np.linspace(-1.0, 0.0, samples + 1)[:-1]
 
 
-def large_angle_rate_curve(n: int, samples: int = 512, scale: float = 1.0,
-                           name: str | None = None) -> BoundCurve:
-    """R = scale/n * log2(min(n+1, (cos phi - 1)/cos phi)) on the large-angle grid."""
+def large_angle_rate_curve(n: int, samples: int = 512) -> BoundCurve:
+    """R = 1/n * log2(min(n+1, (cos phi - 1)/cos phi)) on the large-angle grid."""
     phi_grid = np.arccos(_large_angle_grid(samples))[::-1]  # ascending phi
-    rate = np.array([scale * rankin_curve(n, p)[1] for p in phi_grid])
+    rate = np.array([rankin_curve(n, p)[1] for p in phi_grid])
     return BoundCurve(
-        name=name or f"large-angle n={n}",
+        name=f"large-angle n={n}",
         phi=phi_grid,
         rate=rate,
         phi_range=(math.pi / 2, math.pi),
     )
 
 
+def checked_range(values, name: str, least: int) -> list[int]:
+    """``values`` as a nonempty list, each value >= ``least``; errors name ``name``."""
+    values = list(values)
+    if not values:
+        raise ValueError(f"empty {name} range")
+    if min(values) < least:
+        raise ValueError(f"{name} must be >= {least}, got {min(values)}")
+    return values
+
+
 def figure_curves(which: str, *, n_values=None, n: int = 2, m_values=None,
                   samples: int = 512) -> list[BoundCurve]:
     """The three plotted curve families.
 
-    fig1: large-angle rate curves for each n in ``n_values``.
+    fig1: large-angle rate curves for each n >= 1 in ``n_values``.
     fig2: the small-angle bound H(phi).
     fig3: the fig1 curve for dimension ``n`` rescaled by n/(n+m) for each
-          m >= 0, the image of m section embeddings.
+          m >= 0 in ``m_values``, the image of m section embeddings.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if which == "fig1":
-        ns = list(n_values) if n_values is not None else list(range(1, 11))
-        if not ns:
-            raise ValueError("empty n range")
+        ns = checked_range(range(1, 11) if n_values is None else n_values, "n", 1)
         return [large_angle_rate_curve(nn, samples) for nn in ns]
     if which == "fig2":
         phi_grid = np.linspace(0.0, math.pi / 2, samples + 1)[1:]
         rate = np.array([kl_bound(p) for p in phi_grid])
         return [BoundCurve("H", phi_grid, rate, (0.0, math.pi / 2))]
     if which == "fig3":
-        ms = list(m_values) if m_values is not None else [1, 2, 3, 4, 5]
-        if not ms:
-            raise ValueError("empty m range")
-        if min(ms) < 0:
-            raise ValueError(f"m must be >= 0, got {min(ms)}")
-        return [
-            large_angle_rate_curve(n, samples, scale=n / (n + m),
-                                   name=f"scaled n={n} m={m}")
-            for m in ms
-        ]
+        ms = checked_range([1, 2, 3, 4, 5] if m_values is None else m_values, "m", 0)
+        base = large_angle_rate_curve(n, samples)
+        return [replace(base, name=f"scaled n={n} m={m}", rate=base.rate * (n / (n + m)))
+                for m in ms]
     raise ValueError(f"unknown figure {which!r}")
 
 

@@ -67,18 +67,31 @@ def _read_file(path: str, option: str) -> str:
         raise ValueError(f"{option} {path!r}: {exc.strerror or exc}") from None
 
 
+def _mode_option(args, option: str, reader: str, read: bool, default=None):
+    """The value of ``option``, ``default`` when it is not given (the parser
+    leaves it None); giving it to a mode that does not ``read`` it is an
+    error that names ``reader``, the modes that do."""
+    value = getattr(args, option[2:].replace("-", "_"))
+    if value is None:
+        return default
+    if not read:
+        raise ValueError(f"{option} applies only to {reader}")
+    return value
+
+
 def _z_dim(args, is_z: bool) -> int:
     """The n of Z^n that --dim sets, 2 when it is not given; --dim with any
     other lattice, or with none, is an error."""
-    if args.dim is not None and not is_z:
-        raise ValueError("--dim applies only to Z")
-    return 2 if args.dim is None else args.dim
+    return _mode_option(args, "--dim", "Z", is_z, 2)
 
 
 def _load_packing_arg(args) -> packings.PeriodicPacking:
-    name = "Z" if args.lattice is None else args.lattice
-    dim = _z_dim(args, name == "Z" and args.lattice_file is None)
-    if args.lattice_file is not None:
+    """The packing that --lattice-file or else --lattice (default Z) names."""
+    from_file = args.lattice_file is not None
+    name = _mode_option(args, "--lattice", f"{args.command} without --lattice-file",
+                        not from_file, "Z")
+    dim = _z_dim(args, name == "Z" and not from_file)
+    if from_file:
         return packings.load_packing(_read_file(args.lattice_file, "--lattice-file"))
     return packings.touching_packing(packings.lattice_by_name(name, dim))
 
@@ -88,11 +101,14 @@ def _load_packing_arg(args) -> packings.PeriodicPacking:
 # ---------------------------------------------------------------------------
 
 def cmd_bounds(args) -> int:
+    n = _mode_option(args, "--n", "--curve rankin", args.curve == "rankin", 2)
+    grid = _mode_option(args, "--grid", "bounds without --phi", args.phi is None,
+                        (0.1, math.pi / 2, 64))
     rows = [emit.CSV_HEADER]
     if args.phi is not None:
         phis = [args.phi]
     else:
-        lo, hi, num = args.grid
+        lo, hi, num = grid
         if not (num >= 1 and float(num).is_integer()):  # a nan num fails too
             raise ValueError(f"--grid NUM must be an integer >= 1, got {num:g}")
         phis = list(np.linspace(lo, hi, int(num)))
@@ -101,19 +117,26 @@ def cmd_bounds(args) -> int:
             r = bounds.kl_bound(phi)
             name = "kl"
         else:
-            _card, r = bounds.rankin_curve(args.n, phi)
-            name = f"rankin n={args.n}"
+            _card, r = bounds.rankin_curve(n, phi)
+            name = f"rankin n={n}"
         rows.append(emit.csv_row(phi, math.cos(phi), r, name))
     _write(args.out, "\n".join(rows) + "\n")
     return 0
 
 
+def _range_arg(text: str | None, option: str, least: int) -> list[int] | None:
+    """The int list ``text`` given to ``option``, each >= ``least``; None if it is empty."""
+    return bounds.checked_range(_numbers(text, option, int), option, least) if text else None
+
+
 def cmd_figures(args) -> int:
-    m_values = _numbers(args.m, "--m", int) if args.m else None
-    n_values = _numbers(args.n_range, "--n-range", int) if args.n_range else None
+    fig1, fig3 = args.which == "fig1", args.which == "fig3"
+    n_range = _mode_option(args, "--n-range", "fig1", fig1)
+    m = _mode_option(args, "--m", "fig3", fig3)
+    n = _mode_option(args, "--n", "fig3", fig3, 2)
     curves = bounds.figure_curves(
-        args.which, n_values=n_values, n=args.n, m_values=m_values,
-        samples=args.samples,
+        args.which, n_values=_range_arg(n_range, "--n-range", 1), n=n,
+        m_values=_range_arg(m, "--m", 0), samples=args.samples,
     )
     _write(args.out, (emit.curves_to_svg if args.format == "svg" else emit.curves_to_csv)(curves))
     return 0
@@ -131,24 +154,31 @@ def cmd_embed(args) -> int:
 
 
 def cmd_spoil(args) -> int:
+    op, uses_line = args.op, args.op in ("2", "3")
+    lam = _mode_option(args, "--lam", "--op 1", op == "1", 0.9)
+    _mode_option(args, "--line", "--op 2 and 3", uses_line)
+    side = _mode_option(args, "--sign", "--op 3 with --line", op == "3" and bool(args.line), "+")
+    seed = _mode_option(args, "--seed", "--op down, and to --op 2 and 3 without --line",
+                        op == "down" or (uses_line and not args.line), 0)
+    phi_c = _mode_option(args, "--phi-c", "--op down", op == "down", 0.3)
     code = spherical.load_spherical_code(_read_file(args.input, "input"),
                                          normalize=args.normalize)
     xi = None
-    if args.op == "1":
-        out = spherical.spoil1_lambda(code, args.lam)
-    elif args.op in ("2", "3"):
+    if op == "1":
+        out = spherical.spoil1_lambda(code, lam)
+    elif uses_line:
         if args.line:
-            line, sign = _line_arg(args.line), (-1 if args.sign == "-" else +1)
+            line, sign = _line_arg(args.line), (-1 if side == "-" else +1)
         else:
-            line, sign, _c = spherical.find_balanced_line(code, seed=args.seed)
-        if args.op == "2":
+            line, sign, _c = spherical.find_balanced_line(code, seed=seed)
+        if op == "2":
             out, xi = spherical.spoil2(code, line)
         else:
             out = spherical.spoil3(code, line, sign)
-    elif args.op == "up":
+    elif op == "up":
         out = spherical.composite_spoil_up(code)
     else:  # "down"
-        out = spherical.composite_spoil_down(code, args.phi_c, seed=args.seed)
+        out = spherical.composite_spoil_down(code, phi_c, seed=seed)
     _write(args.out, spherical.dump_spherical_code(out))
     if xi is not None:
         print(f"# xi={fmt(xi)} u={fmt(spherical.xi_to_u(xi))}", file=sys.stderr)
@@ -196,37 +226,48 @@ def cmd_shell(args) -> int:
 
 
 def cmd_density(args) -> int:
-    if args.code is None and (args.lattice_file is not None or args.lattice is not None):
+    # three modes: --code, a lattice, or neither (the estimate from --n and --phi)
+    by_code = args.code is not None
+    normalize = _mode_option(args, "--normalize", "--code", by_code, False)
+    for option in ("--lattice", "--lattice-file"):
+        _mode_option(args, option, "density without --code", not by_code)
+    estimate = not by_code and args.lattice is None and args.lattice_file is None
+    without = "density without --code, --lattice or --lattice-file"
+    n = _mode_option(args, "--n", without, estimate, 2)
+    phi = _mode_option(args, "--phi", without, estimate, math.pi / 3)
+    if not (by_code or estimate):
         packing = _load_packing_arg(args)
         print(f"packing_density {fmt(packings.packing_density(packing))}")
         return 0
     _z_dim(args, is_z=False)  # neither --code nor --n/--phi takes a lattice
-    if args.code is not None:
+    if by_code:
         code = spherical.load_spherical_code(_read_file(args.code, "--code"),
-                                             normalize=args.normalize)
+                                             normalize=normalize)
         print(f"code_density {fmt(packings.code_density(code))}")
         return 0
     # every value is computed before the first line is printed, so that a
     # failure leaves stdout empty
-    est, label = packings.estimate_max_points(args.n, args.phi)
+    est, label = packings.estimate_max_points(n, phi)
     rows = [f"max_points_estimate {fmt(est)} ({label})",
-            f"max_code_density {fmt(packings.max_code_density(args.n, args.phi, est))}"]
-    if args.phi >= math.pi / 3:
+            f"max_code_density {fmt(packings.max_code_density(n, phi, est))}"]
+    if phi >= math.pi / 3:
         def upper(nn, pp):
             return packings.estimate_max_points(nn, pp)[0]
-        b31, b32 = packings.density_bounds(args.n, args.phi, upper)
+        b31, b32 = packings.density_bounds(n, phi, upper)
         rows += [f"packing_bound_embed {fmt(b31)}", f"packing_bound_proj {fmt(b32)}"]
     print("\n".join(rows))
     return 0
 
 
 def cmd_verify(args) -> int:
-    suites = {"spoiling": verify.verify_spoiling, "bounds": verify.verify_bounds,
-              "packings": verify.verify_packings}
+    seed = _mode_option(args, "--seed", "--suite spoiling, bounds and all",
+                        args.suite != "packings", 0)
+    suites = {"spoiling": lambda: verify.verify_spoiling(seed),
+              "bounds": lambda: verify.verify_bounds(seed), "packings": verify.verify_packings}
     names = [args.suite] if args.suite != "all" else list(suites)
     failed = 0
     for name in names:
-        for label, ok in suites[name](seed=args.seed):
+        for label, ok in suites[name]():
             print(f"[{'PASS' if ok else 'FAIL'}] {name}: {label}")
             failed += 0 if ok else 1
     return 1 if failed else 0
@@ -251,15 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bounds", help="evaluate bound curves")
     b.add_argument("--curve", choices=["kl", "rankin"], default="kl")
     b.add_argument("--phi", type=float)
-    b.add_argument("--grid", type=float, nargs=3, metavar=("LO", "HI", "NUM"),
-                   default=(0.1, math.pi / 2, 64))
-    b.add_argument("--n", type=int, default=2)
+    b.add_argument("--grid", type=float, nargs=3, metavar=("LO", "HI", "NUM"))
+    b.add_argument("--n", type=int)
     b.add_argument("--out")
     b.set_defaults(func=cmd_bounds)
 
     f = sub.add_parser("figures", help="reproduce the figure curve families")
     f.add_argument("--which", choices=["fig1", "fig2", "fig3"], required=True)
-    f.add_argument("--n", type=int, default=2)
+    f.add_argument("--n", type=int)
     f.add_argument("--n-range", help="for fig1, e.g. 1..10")
     f.add_argument("--m", help="for fig3, e.g. 1..5 or 1,2,3")
     f.add_argument("--samples", type=int, default=512)
@@ -275,11 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("spoil", help="apply a spoiling operation")
     s.add_argument("input")
     s.add_argument("--op", choices=["1", "2", "3", "up", "down"], required=True)
-    s.add_argument("--lam", type=float, default=0.9)
+    s.add_argument("--lam", type=float)
     s.add_argument("--line", help="comma-separated direction")
-    s.add_argument("--sign", choices=["+", "-"], default="+")
-    s.add_argument("--phi-c", type=float, default=0.3)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--sign", choices=["+", "-"])
+    s.add_argument("--phi-c", type=float)
+    s.add_argument("--seed", type=int)
     s.add_argument("--normalize", action="store_true")
     s.add_argument("--out")
     s.set_defaults(func=cmd_spoil)
@@ -313,15 +353,15 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("density", help="densities and packing bounds")
     d.add_argument("--code")
     _lattice_options(d)
-    d.add_argument("--n", type=int, default=2)
-    d.add_argument("--phi", type=float, default=math.pi / 3)
-    d.add_argument("--normalize", action="store_true")
+    d.add_argument("--n", type=int)
+    d.add_argument("--phi", type=float)
+    d.add_argument("--normalize", action="store_true", default=None)
     d.set_defaults(func=cmd_density)
 
     v = sub.add_parser("verify", help="run the property suites")
     v.add_argument("--suite", choices=["spoiling", "bounds", "packings", "all"],
                    default="all")
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=int)
     v.set_defaults(func=cmd_verify)
 
     return p

@@ -61,7 +61,7 @@ def _sigma(m: int, power: int = 1) -> int:
     return sum(d ** power for d in range(1, m + 1) if m % d == 0)
 
 
-def verify_packings(seed: int = 0):
+def verify_packings():
     z2 = packings.integer_lattice(2)
     theta = packings.theta_lattice(z2, 5.0)
     yield ("square lattice theta counts",

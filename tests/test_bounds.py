@@ -128,6 +128,18 @@ def test_fig3_scaled_curves():
         assert np.allclose(curve.rate, 2 / (2 + m) * base.rate, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_fig3_is_the_fig1_curve_times_n_over_n_plus_m(n):
+    # bit for bit the per-point product n/(n+m) * R(phi)
+    ms = [0, 1, 2, 5, 9]
+    (base,) = bounds.figure_curves("fig1", n_values=[n], samples=64)
+    for m, curve in zip(ms, bounds.figure_curves("fig3", n=n, m_values=ms, samples=64)):
+        assert curve.name == f"scaled n={n} m={m}"
+        assert np.array_equal(curve.phi, base.phi)
+        want = [n / (n + m) * bounds.rankin_curve(n, phi)[1] for phi in base.phi]
+        assert np.array_equal(curve.rate, want)
+
+
 def test_curves_monotone_phi():
     for which, kwargs in (("fig1", {"n_values": [3]}), ("fig2", {}),
                           ("fig3", {"m_values": [2]})):
@@ -285,6 +297,12 @@ def test_anchor_outside_window_rejected():
                  "empty n range", id="fig1-empty"),
     pytest.param(lambda: bounds.figure_curves("fig3", m_values=[]), ValueError,
                  "empty m range", id="fig3-empty"),
+    pytest.param(lambda: bounds.figure_curves("fig1", n_values=[2, 0]), ValueError,
+                 "n must be >= 1, got 0", id="fig1-n"),
+    pytest.param(lambda: bounds.figure_curves("fig3", n=-1, m_values=[1]), ValueError,
+                 "n must be >= 1", id="fig3-n"),
+    pytest.param(lambda: bounds.figure_curves("fig3", n=0, m_values=[0]), ValueError,
+                 "n must be >= 1", id="fig3-n-zero"),
     pytest.param(lambda: bounds.figure_curves("fig4"), ValueError,
                  "unknown figure 'fig4'", id="unknown-figure"),
     pytest.param(lambda: bounds.CutoffRegion(0.0), ValueError,

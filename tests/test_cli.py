@@ -51,12 +51,13 @@ def test_figures_fig3_matches_library(capsys, tmp_path):
                                                           rel=1e-11)
 
 
-@pytest.mark.parametrize("m", ["-2", "-1", "1,2,-3", "-1..2"])
-def test_figures_fig3_rejects_negative_m(capsys, m):
+@pytest.mark.parametrize("m, least", [pytest.param(m, least, id=m) for m, least in
+                                      [("-2", -2), ("-1", -1), ("1,2,-3", -3), ("-1..2", -1)]])
+def test_figures_fig3_rejects_negative_m(capsys, m, least):
     rc, out, err = run(capsys, "figures", "--which", "fig3", "--n", "2", f"--m={m}")
     assert rc == 1
     assert out == ""
-    assert err.startswith("error: m must be >= 0") and err.count("\n") == 1
+    assert err == f"error: --m must be >= 0, got {least}\n"
 
 
 @pytest.mark.parametrize("which", ["fig1", "fig2", "fig3"])
@@ -316,6 +317,10 @@ def test_malformed_input_file_gives_one_error_line(capsys, tmp_path, command, da
     (["theta", "--lattice", "D4", "--dim", "9"], "--dim applies only to Z"),
     (["kissing", "--lattice", "E8", "--dim", "3"], "--dim applies only to Z"),
     (["density", "--dim", "5", "--n", "3", "--phi", "1"], "--dim applies only to Z"),
+    (["figures", "--which", "fig1", "--n-range", "5..3"], "empty --n-range range"),
+    (["figures", "--which", "fig1", "--n-range", "0..2"], "--n-range must be >= 1, got 0"),
+    (["figures", "--which", "fig3", "--m", "3..1"], "empty --m range"),
+    (["figures", "--which", "fig3", "--n=-1", "--m", "1"], "n must be >= 1"),
 ])
 def test_domain_errors_name_their_input(capsys, argv, message):
     rc, out, err = run(capsys, *argv)
@@ -341,6 +346,100 @@ def test_dim_with_a_lattice_file_is_an_error(capsys, tmp_path):
     path.write_text("dim 2\n1 0\n0 1\n")
     rc, out, err = run(capsys, "theta", "--lattice-file", str(path), "--dim", "3")
     assert (rc, out, err) == (1, "", "error: --dim applies only to Z\n")
+
+
+# a mode option given to a mode that does not read it; "{code}" is a
+# spherical code file and "{packing}" a packing file
+UNREAD_OPTIONS = [
+    (["spoil", "{code}", "--op", "2", "--lam", "0.5"], "--lam applies only to --op 1"),
+    (["spoil", "{code}", "--op", "up", "--sign", "-"], "--sign applies only to --op 3 with --line"),
+    (["spoil", "{code}", "--op", "1", "--phi-c", "0.2"], "--phi-c applies only to --op down"),
+    (["spoil", "{code}", "--op", "2", "--line", "0,1", "--seed", "3"],
+     "--seed applies only to --op down, and to --op 2 and 3 without --line"),
+    (["spoil", "{code}", "--op", "3", "--sign", "-"], "--sign applies only to --op 3 with --line"),
+    (["spoil", "{code}", "--op", "2", "--line", "0,1", "--sign", "-"],
+     "--sign applies only to --op 3 with --line"),
+    (["spoil", "{code}", "--op", "1", "--line", "0,1"], "--line applies only to --op 2 and 3"),
+    (["spoil", "{code}", "--op", "up", "--seed", "0"],
+     "--seed applies only to --op down, and to --op 2 and 3 without --line"),
+    (["density", "--normalize"], "--normalize applies only to --code"),
+    (["density", "--lattice", "E8", "--normalize"], "--normalize applies only to --code"),
+    (["density", "--code", "{code}", "--lattice", "E8"],
+     "--lattice applies only to density without --code"),
+    (["density", "--code", "{code}", "--lattice-file", "{packing}"],
+     "--lattice-file applies only to density without --code"),
+    (["density", "--code", "{code}", "--n", "7"],
+     "--n applies only to density without --code, --lattice or --lattice-file"),
+    (["density", "--lattice", "E8", "--phi", "1"],
+     "--phi applies only to density without --code, --lattice or --lattice-file"),
+    (["figures", "--which", "fig2", "--n-range", "1..3"], "--n-range applies only to fig1"),
+    (["figures", "--which", "fig1", "--m", "2"], "--m applies only to fig3"),
+    (["figures", "--which", "fig2", "--n", "3"], "--n applies only to fig3"),
+    (["bounds", "--curve", "kl", "--n", "5", "--phi", "0.5"], "--n applies only to --curve rankin"),
+    (["bounds", "--phi", "0.5", "--grid", "0.1", "1", "5"],
+     "--grid applies only to bounds without --phi"),
+    (["verify", "--suite", "packings", "--seed", "3"],
+     "--seed applies only to --suite spoiling, bounds and all"),
+    (["theta", "--lattice", "E8", "--lattice-file", "{packing}"],
+     "--lattice applies only to theta without --lattice-file"),
+    (["kissing", "--lattice", "Z", "--lattice-file", "{packing}"],
+     "--lattice applies only to kissing without --lattice-file"),
+    (["shell", "--u", "1", "--lattice", "A2", "--lattice-file", "{packing}"],
+     "--lattice applies only to shell without --lattice-file"),
+]
+
+
+def mode_files(tmp_path, argv):
+    """``argv`` with "{code}" and "{packing}" replaced by files written under
+    ``tmp_path``."""
+    code, packing = tmp_path / "code.txt", tmp_path / "packing.txt"
+    code.write_text("dim 3\n1 0 0\n0 1 0\n0 0 1\n-1 0 0\n0 -1 0\n0 0 -1\n")
+    packing.write_text("dim 2\n1 0\n0 1\n")
+    return [a.format(code=code, packing=packing) for a in argv]
+
+
+@pytest.mark.parametrize("argv, message", UNREAD_OPTIONS,
+                         ids=[" ".join(argv) for argv, _m in UNREAD_OPTIONS])
+def test_an_option_the_mode_does_not_read_is_an_error(capsys, tmp_path, argv, message):
+    out_path = tmp_path / "out.txt"
+    with_out = [] if argv[0] in ("density", "verify") else ["--out", str(out_path)]
+    rc, out, err = run(capsys, *mode_files(tmp_path, argv), *with_out)
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+    assert not out_path.exists()
+
+
+# (a run that gives mode options at their defaults, the same run without them)
+MODE_DEFAULTS = [
+    (["spoil", "{code}", "--op", "1", "--lam", "0.9"], ["spoil", "{code}", "--op", "1"]),
+    (["spoil", "{code}", "--op", "1", "--normalize"], ["spoil", "{code}", "--op", "1"]),
+    (["spoil", "{code}", "--op", "2", "--seed", "0"], ["spoil", "{code}", "--op", "2"]),
+    (["spoil", "{code}", "--op", "3", "--seed", "0"], ["spoil", "{code}", "--op", "3"]),
+    (["spoil", "{code}", "--op", "3", "--line", "0,0,1", "--sign", "+"],
+     ["spoil", "{code}", "--op", "3", "--line", "0,0,1"]),
+    (["spoil", "{code}", "--op", "down", "--phi-c", "0.3", "--seed", "0"],
+     ["spoil", "{code}", "--op", "down"]),
+    (["density", "--code", "{code}", "--normalize"], ["density", "--code", "{code}"]),
+    (["density", "--n", "2", "--phi", repr(math.pi / 3)], ["density"]),
+    (["density", "--lattice", "Z", "--dim", "2"], ["density", "--lattice", "Z"]),
+    (["figures", "--which", "fig1", "--n-range", "1..10", "--samples", "8"],
+     ["figures", "--which", "fig1", "--samples", "8"]),
+    (["figures", "--which", "fig3", "--n", "2", "--m", "1..5", "--samples", "8"],
+     ["figures", "--which", "fig3", "--samples", "8"]),
+    (["bounds", "--curve", "rankin", "--n", "2", "--grid", "1.6", "3.1", "8"],
+     ["bounds", "--curve", "rankin", "--grid", "1.6", "3.1", "8"]),
+    (["bounds", "--grid", "0.1", repr(math.pi / 2), "64"], ["bounds"]),
+    (["verify", "--suite", "bounds", "--seed", "0"], ["verify", "--suite", "bounds"]),
+    (["kissing", "--lattice", "Z", "--dim", "2"], ["kissing"]),
+    (["theta", "--lattice-file", "{packing}"], ["theta"]),
+]
+
+
+@pytest.mark.parametrize("argv, plain", MODE_DEFAULTS,
+                         ids=[" ".join(argv) for argv, _p in MODE_DEFAULTS])
+def test_mode_options_at_their_defaults_change_nothing(capsys, tmp_path, argv, plain):
+    given = run(capsys, *mode_files(tmp_path, argv))
+    assert given[0] == 0 and given[1]
+    assert given == run(capsys, *mode_files(tmp_path, plain))
 
 
 def test_u_starting_with_a_dash_needs_the_equals_form(capsys):
