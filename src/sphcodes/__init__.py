@@ -40,7 +40,6 @@ from .spherical import (
     composite_spoil_up,
     find_balanced_line,
     load_spherical_code,
-    numerical_spoil,
     spoil1,
     spoil1_lambda,
     spoil2,

@@ -9,6 +9,7 @@ use 17 for round-trip safety.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import warnings
@@ -125,8 +126,10 @@ def cmd_bounds(args) -> int:
 
 
 def _range_arg(text: str | None, option: str, least: int) -> list[int] | None:
-    """The int list ``text`` given to ``option``, each >= ``least``; None if it is empty."""
-    return bounds.checked_range(_numbers(text, option, int), option, least) if text else None
+    """The int list ``text`` given to ``option``, each >= ``least``; None if it is not given."""
+    if text is None:
+        return None
+    return bounds.checked_range(_numbers(text, option, int), option, least)
 
 
 def cmd_figures(args) -> int:
@@ -156,10 +159,11 @@ def cmd_embed(args) -> int:
 def cmd_spoil(args) -> int:
     op, uses_line = args.op, args.op in ("2", "3")
     lam = _mode_option(args, "--lam", "--op 1", op == "1", 0.9)
-    _mode_option(args, "--line", "--op 2 and 3", uses_line)
-    side = _mode_option(args, "--sign", "--op 3 with --line", op == "3" and bool(args.line), "+")
+    line_text = _mode_option(args, "--line", "--op 2 and 3", uses_line)
+    side = _mode_option(args, "--sign", "--op 3 with --line",
+                        op == "3" and line_text is not None, "+")
     seed = _mode_option(args, "--seed", "--op down, and to --op 2 and 3 without --line",
-                        op == "down" or (uses_line and not args.line), 0)
+                        op == "down" or (uses_line and line_text is None), 0)
     phi_c = _mode_option(args, "--phi-c", "--op down", op == "down", 0.3)
     code = spherical.load_spherical_code(_read_file(args.input, "input"),
                                          normalize=args.normalize)
@@ -167,8 +171,8 @@ def cmd_spoil(args) -> int:
     if op == "1":
         out = spherical.spoil1_lambda(code, lam)
     elif uses_line:
-        if args.line:
-            line, sign = _line_arg(args.line), (-1 if side == "-" else +1)
+        if line_text is not None:
+            line, sign = _line_arg(line_text), (-1 if side == "-" else +1)
         else:
             line, sign, _c = spherical.find_balanced_line(code, seed=seed)
         if op == "2":
@@ -215,7 +219,7 @@ def cmd_kissing(args) -> int:
 def cmd_shell(args) -> int:
     packing = _load_packing_arg(args)
     x0 = np.zeros(packing.lattice.dimension)
-    if args.x0:
+    if args.x0 is not None:
         x0 = np.asarray(_numbers(args.x0, "--x0"))
     code, cert = packings.shell_code(packing, x0, args.u)
     rows = [f"card {cert['card']}",
@@ -251,19 +255,15 @@ def cmd_density(args) -> int:
     rows = [f"max_points_estimate {fmt(est)} ({label})",
             f"max_code_density {fmt(packings.max_code_density(n, phi, est))}"]
     if phi >= math.pi / 3:
-        def upper(nn, pp):
-            return packings.estimate_max_points(nn, pp)[0]
-        b31, b32 = packings.density_bounds(n, phi, upper)
+        b31, b32 = packings.density_bounds(n, phi)
         rows += [f"packing_bound_embed {fmt(b31)}", f"packing_bound_proj {fmt(b32)}"]
     print("\n".join(rows))
     return 0
 
 
 def cmd_verify(args) -> int:
-    seed = _mode_option(args, "--seed", "--suite spoiling, bounds and all",
-                        args.suite != "packings", 0)
-    suites = {"spoiling": lambda: verify.verify_spoiling(seed),
-              "bounds": lambda: verify.verify_bounds(seed), "packings": verify.verify_packings}
+    suites = {"spoiling": verify.verify_spoiling, "bounds": verify.verify_bounds,
+              "packings": verify.verify_packings}
     names = [args.suite] if args.suite != "all" else list(suites)
     failed = 0
     for name in names:
@@ -361,16 +361,18 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the property suites")
     v.add_argument("--suite", choices=["spoiling", "bounds", "packings", "all"],
                    default="all")
-    v.add_argument("--seed", type=int)
     v.set_defaults(func=cmd_verify)
 
     return p
 
 
+# the parser of main, built at its first call: a parse leaves no state in it
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -477,22 +477,22 @@ def packing_density(packing: PeriodicPacking) -> float:
     return ell * ball_volume(n, packing.radius) / packing.lattice.covolume
 
 
-def density_bounds(n: int, phi: float, max_points_upper) -> tuple[float, float]:
+def density_bounds(n: int, phi: float) -> tuple[float, float]:
     """Upper bounds on packing density from spherical-code cardinalities.
 
-    ``max_points_upper(n, phi)`` must upper-bound the maximal cardinality.
     Returns ``(embedding_bound, projection_bound)``: sin^n(phi/2) times the
-    cardinality bound in dimension n+1 (valid for all angles) and in
-    dimension n (valid only for phi >= pi/3).  Values above 1 are vacuous
-    and reported as computed.
+    cardinality of :func:`estimate_max_points` in dimension n+1 (valid for
+    all angles) and in dimension n (valid only for phi >= pi/3).  Each is a
+    bound as far as that estimate bounds the maximal cardinality.  Values
+    above 1 are vacuous and reported as computed.
     """
     if not (0.0 < phi <= math.pi):
         raise ValueError("phi must be in (0, pi]")
     s = math.sin(phi / 2) ** n
-    bound_embed = s * max_points_upper(n + 1, phi)
+    bound_embed = s * estimate_max_points(n + 1, phi)[0]
     if phi < math.pi / 3:
         raise ValueError("projection bound requires phi >= pi/3")
-    bound_proj = s * max_points_upper(n, phi)
+    bound_proj = s * estimate_max_points(n, phi)[0]
     return bound_embed, bound_proj
 
 

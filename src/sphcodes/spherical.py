@@ -501,48 +501,6 @@ def _restrict_project_embed(
     )
 
 
-def numerical_spoil(
-    code: SphericalCode,
-    template: str,
-    *,
-    lam: float | None = None,
-    line: LineThroughOrigin | None = None,
-    subcode_steps: int = 1,
-    seed: int = 0,
-) -> SphericalCode:
-    """Realize one of the three numerical-spoiling parameter templates.
-
-    template ``"dim_up"``:   [n+1, k, lam*cos + 1 - lam]   (requires ``lam``)
-    template ``"dim_down"``: [n-1, k, (1+u)*cos +/- u]      (optional ``line``)
-    template ``"subcode"``:  [n-1, k-a, cos]                (``subcode_steps`` = a)
-
-    The subcode pipeline runs a hemisphere restrictions, two projections,
-    then one section embedding with the lambda solving back to the original
-    cos phi.  The guarantees assume the small-angle range; outside it only a
-    warning is issued since the geometry stays well defined.
-    """
-    if code.min_angle > np.pi / 2 + EPS_ANGLE:
-        warnings.warn("code is outside the small-angle range; templates are "
-                      "not guaranteed", stacklevel=2)
-    rng = np.random.default_rng(seed)
-    if template == "dim_up":
-        if lam is None:
-            raise ValueError("dim_up requires lam")
-        return spoil1_lambda(code, lam)
-    if template == "dim_down":
-        if line is None:
-            line = LineThroughOrigin(_generic_projection_line(code, rng)[0])
-        out, _ = spoil2(code, line)
-        return out
-    if template == "subcode":
-        a = subcode_steps
-        k = float(np.log2(code.card))
-        if not (0 < a < k):
-            raise ValueError(f"subcode steps must satisfy 0 < a < k = {k:.4g}")
-        return _restrict_project_embed(code, a, code.cos_min_angle, seed)
-    raise ValueError(f"unknown template {template!r}")
-
-
 def composite_spoil_up(code: SphericalCode) -> SphericalCode:
     """One-step pipeline to parameters [n+1, k, n/(n+1) cos + 1/(n+1)]."""
     n = code.dimension

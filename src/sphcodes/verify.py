@@ -13,8 +13,8 @@ import numpy as np
 from . import binary, bounds, packings, spherical
 
 
-def verify_spoiling(seed: int = 0):
-    rng = np.random.default_rng(seed)
+def verify_spoiling():
+    rng = np.random.default_rng(0)
     code = binary.embed_binary(
         binary.BinaryCode(["0000", "0011", "0101", "0110"])
     )
@@ -27,7 +27,7 @@ def verify_spoiling(seed: int = 0):
     yield ("section embedding moves cos by lam*cos + 1 - lam",
            abs(up.cos_min_angle - expect) < 1e-9)
 
-    line, sign, count = spherical.find_balanced_line(code, seed=seed)
+    line, sign, count = spherical.find_balanced_line(code)
     half = spherical.spoil3(code, line, sign)
     yield ("hemisphere restriction keeps at least half the points",
            code.card / 2 <= half.card < code.card)
@@ -35,7 +35,7 @@ def verify_spoiling(seed: int = 0):
            half.card < 2 or half.min_angle >= code.min_angle - 1e-12)
 
 
-def verify_bounds(seed: int = 0):
+def verify_bounds():
     yield ("H(pi/2) = 0", abs(bounds.kl_bound(math.pi / 2)) < 1e-12)
     h = bounds.kl_bound(math.pi / 6)
     expect = 1.5 * math.log2(1.5) + 0.5
@@ -44,16 +44,13 @@ def verify_bounds(seed: int = 0):
     card_bound, _ = bounds.rankin_curve(4, simplex.min_angle)
     yield ("simplex attains the large-angle cardinality bound",
            abs(card_bound - simplex.card) < 1e-6)
-    cutoff = bounds.CutoffRegion(0.5)
-    regs = bounds.ControllingRegions((0.4, 0.3), cutoff)
-    rng = np.random.default_rng(seed)
-    ok = True
-    for _ in range(200):
-        q = (float(rng.uniform(0, cutoff.cos_phi_c)),
-             float(rng.uniform(0, cutoff.rate_cap)))
-        if regs.membership(q) not in ("U", "D", "L", "R", "boundary"):
-            ok = False
-    yield ("controlling regions partition the window", ok)
+    regs = bounds.ControllingRegions((0.4, 0.3), bounds.CutoffRegion(0.5))
+    ax, ay = regs.anchor
+    ok = abs(regs.line1(ax) - ay) < 1e-12 and abs(regs.line2(ax) - ay) < 1e-12
+    for x in (0.1, 0.4, 0.7):
+        lo, hi = sorted((regs.line1(x), regs.line2(x)))
+        ok = ok and regs.membership((x, hi + 0.1)) == "U" and regs.membership((x, lo - 0.1)) == "D"
+    yield ("controlling regions: the anchor is on both lines, U above them, D below", ok)
 
 
 def _sigma(m: int, power: int = 1) -> int:

@@ -167,16 +167,16 @@ def test_criterion_5_composite_pipelines():
             )
             # (i) dimension up
             lam = float(rng.uniform(0.4, 1.0))
-            up = spherical.numerical_spoil(code, "dim_up", lam=lam)
+            up = spherical.spoil1_lambda(code, lam)
             if abs(up.cos_min_angle - (lam * code.cos_min_angle + 1 - lam)) > 1e-6:
                 ok = False
             # (ii) dimension down: recompute against the per-pair formula
-            down = spherical.numerical_spoil(code, "dim_down", seed=trial)
+            line = spherical._generic_projection_line(code, np.random.default_rng(trial))[0]
+            down, _xi = spherical.spoil2(code, LineThroughOrigin(line))
             if down.dimension != code.dimension - 1:
                 ok = False
             # (iii) subcode with a = 1
-            sub = spherical.numerical_spoil(code, "subcode", subcode_steps=1,
-                                            seed=trial)
+            sub = spherical._restrict_project_embed(code, 1, code.cos_min_angle, trial)
             if sub.dimension != code.dimension - 1:
                 ok = False
             if abs(sub.cos_min_angle - code.cos_min_angle) > 1e-6:
@@ -310,11 +310,7 @@ def test_criterion_9_densities():
     if abs(packings.code_density(packings.kissing_configuration(hexagonal))
            - 1.0) > 1e-12:
         ok = False
-
-    def upper(n, phi):
-        return packings.estimate_max_points(n, phi)[0]
-
-    _embed, proj = packings.density_bounds(2, math.pi / 3, upper)
+    _embed, proj = packings.density_bounds(2, math.pi / 3)
     if abs(proj - 1.5) > 1e-12 or proj < math.pi / math.sqrt(12):
         ok = False
     for K in (4, 6, 8, 12):

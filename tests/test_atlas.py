@@ -8,6 +8,7 @@ import pytest
 
 from sphcodes import atlas as atlas_mod
 from sphcodes import binary, bounds, spherical
+from sphcodes.errors import DegenerateCode
 
 
 def small_build(budget=300, seed=0, phi_c=0.4):
@@ -86,6 +87,26 @@ def test_unexpected_errors_leave_the_build(monkeypatch):
     monkeypatch.setattr(spherical, "composite_spoil_up", broken)
     with pytest.raises(ValueError, match="not a domain error"):
         small_build(budget=50)
+
+
+def test_an_op_outside_its_domain_yields_no_point(monkeypatch):
+    # raising DegenerateCode builds the atlas that returning no code builds
+    calls = {"none": 0, "raise": 0}
+
+    def no_code(code):
+        calls["none"] += 1
+
+    def degenerate(code):
+        calls["raise"] += 1
+        raise DegenerateCode("outside the domain")
+
+    monkeypatch.setattr(spherical, "composite_spoil_up", no_code)
+    skipped = small_build(budget=50)
+    monkeypatch.setattr(spherical, "composite_spoil_up", degenerate)
+    failed = small_build(budget=50)
+    assert calls["raise"] == calls["none"] > 0
+    assert failed.observed == skipped.observed
+    assert len(failed.observed) > len(atlas_mod.default_seeds())
 
 
 def test_point_just_past_right_angle_is_not_an_anchor():

@@ -348,9 +348,10 @@ def test_dim_with_a_lattice_file_is_an_error(capsys, tmp_path):
     assert (rc, out, err) == (1, "", "error: --dim applies only to Z\n")
 
 
-# a mode option given to a mode that does not read it; "{code}" is a
-# spherical code file and "{packing}" a packing file
-UNREAD_OPTIONS = [
+# a mode option given to a mode that does not read it, or an empty value,
+# which is a value given, not the option left out; "{code}" is a spherical
+# code file and "{packing}" a packing file
+REJECTED_OPTIONS = [
     (["spoil", "{code}", "--op", "2", "--lam", "0.5"], "--lam applies only to --op 1"),
     (["spoil", "{code}", "--op", "up", "--sign", "-"], "--sign applies only to --op 3 with --line"),
     (["spoil", "{code}", "--op", "1", "--phi-c", "0.2"], "--phi-c applies only to --op down"),
@@ -378,14 +379,17 @@ UNREAD_OPTIONS = [
     (["bounds", "--curve", "kl", "--n", "5", "--phi", "0.5"], "--n applies only to --curve rankin"),
     (["bounds", "--phi", "0.5", "--grid", "0.1", "1", "5"],
      "--grid applies only to bounds without --phi"),
-    (["verify", "--suite", "packings", "--seed", "3"],
-     "--seed applies only to --suite spoiling, bounds and all"),
     (["theta", "--lattice", "E8", "--lattice-file", "{packing}"],
      "--lattice applies only to theta without --lattice-file"),
     (["kissing", "--lattice", "Z", "--lattice-file", "{packing}"],
      "--lattice applies only to kissing without --lattice-file"),
     (["shell", "--u", "1", "--lattice", "A2", "--lattice-file", "{packing}"],
      "--lattice applies only to shell without --lattice-file"),
+    (["figures", "--which", "fig3", "--m", ""], "--m must be a list of numbers, got ''"),
+    (["figures", "--which", "fig1", "--n-range", ""],
+     "--n-range must be a list of numbers, got ''"),
+    (["spoil", "{code}", "--op", "2", "--line", ""], "--line must be a list of numbers, got ''"),
+    (["shell", "--u", "1", "--x0", ""], "--x0 must be a list of numbers, got ''"),
 ]
 
 
@@ -398,11 +402,11 @@ def mode_files(tmp_path, argv):
     return [a.format(code=code, packing=packing) for a in argv]
 
 
-@pytest.mark.parametrize("argv, message", UNREAD_OPTIONS,
-                         ids=[" ".join(argv) for argv, _m in UNREAD_OPTIONS])
+@pytest.mark.parametrize("argv, message", REJECTED_OPTIONS,
+                         ids=[" ".join(argv) for argv, _m in REJECTED_OPTIONS])
 def test_an_option_the_mode_does_not_read_is_an_error(capsys, tmp_path, argv, message):
     out_path = tmp_path / "out.txt"
-    with_out = [] if argv[0] in ("density", "verify") else ["--out", str(out_path)]
+    with_out = [] if argv[0] == "density" else ["--out", str(out_path)]
     rc, out, err = run(capsys, *mode_files(tmp_path, argv), *with_out)
     assert (rc, out, err) == (1, "", f"error: {message}\n")
     assert not out_path.exists()
@@ -428,7 +432,6 @@ MODE_DEFAULTS = [
     (["bounds", "--curve", "rankin", "--n", "2", "--grid", "1.6", "3.1", "8"],
      ["bounds", "--curve", "rankin", "--grid", "1.6", "3.1", "8"]),
     (["bounds", "--grid", "0.1", repr(math.pi / 2), "64"], ["bounds"]),
-    (["verify", "--suite", "bounds", "--seed", "0"], ["verify", "--suite", "bounds"]),
     (["kissing", "--lattice", "Z", "--dim", "2"], ["kissing"]),
     (["theta", "--lattice-file", "{packing}"], ["theta"]),
 ]
@@ -440,6 +443,30 @@ def test_mode_options_at_their_defaults_change_nothing(capsys, tmp_path, argv, p
     given = run(capsys, *mode_files(tmp_path, argv))
     assert given[0] == 0 and given[1]
     assert given == run(capsys, *mode_files(tmp_path, plain))
+
+
+def test_one_parser_serves_every_call(capsys, tmp_path, monkeypatch):
+    # main builds its parser once; every call must print what a freshly
+    # built parser gives, whatever the calls before it parsed
+    argvs = [mode_files(tmp_path, argv) for argv, _m in REJECTED_OPTIONS]
+    for argv, plain in MODE_DEFAULTS:
+        argvs += [mode_files(tmp_path, argv), mode_files(tmp_path, plain)]
+    argvs += [[], ["frobnicate"], ["spoil", "x.txt"], ["verify", "--seed", "0"],
+              ["shell", "--u", "-inf"], ["bounds", "--grid", "1", "2"], ["theta", "--help"],
+              ["figures", "--which", "fig3", "--samples", "4"], ["verify", "--suite", "bounds"]]
+    assert cli._parser() is cli._parser()
+    shared = [run(capsys, *argv) for argv in argvs * 2]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [run(capsys, *argv) for argv in argvs * 2]
+    assert {rc for rc, _out, _err in shared} == {0, 1, 2}
+    for argv, got, want in zip(argvs * 2, shared, fresh):
+        assert got == want, argv
+
+
+def test_verify_takes_no_seed(capsys):
+    rc, out, err = run(capsys, "verify", "--seed", "0")
+    assert (rc, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --seed 0\n")
 
 
 def test_u_starting_with_a_dash_needs_the_equals_form(capsys):
@@ -584,7 +611,7 @@ def test_density_overflow_gives_one_error_line(capsys, n, phi):
 
 
 def test_verify_exits_zero(capsys):
-    rc, out, _ = run(capsys, "verify", "--suite", "bounds", "--seed", "42")
+    rc, out, _ = run(capsys, "verify", "--suite", "bounds")
     assert rc == 0
     assert "[PASS]" in out
     assert "[FAIL]" not in out

@@ -376,17 +376,14 @@ def test_packing_densities():
 
 def test_density_bound_dominates_hexagonal():
     # planar bound sin^2(pi/6) * M(2, pi/3) = 1/4 * 6 = 1.5 >= pi/sqrt(12)
-    def upper(n, phi):
-        return packings.estimate_max_points(n, phi)[0]
-
-    _embed, proj = packings.density_bounds(2, math.pi / 3, upper)
+    _embed, proj = packings.density_bounds(2, math.pi / 3)
     assert proj == pytest.approx(1.5, abs=1e-12)
     assert proj >= math.pi / math.sqrt(12)
 
 
 def test_density_bound_requires_large_angle():
     with pytest.raises(ValueError):
-        packings.density_bounds(2, math.pi / 4, lambda n, p: 100.0)
+        packings.density_bounds(2, math.pi / 4)
 
 
 def test_wrapped_density_ratio_near_one():
@@ -503,7 +500,7 @@ def z2_packing(**kwargs):
                  id="cap-area-phi"),
     pytest.param(lambda: packings.max_code_density(3, 1.0, 0.0), ValueError,
                  "cardinality estimate must be positive", id="max-density-card"),
-    pytest.param(lambda: packings.density_bounds(3, 0.0, lambda n, phi: 1.0), ValueError,
+    pytest.param(lambda: packings.density_bounds(3, 0.0), ValueError,
                  "phi must be in (0, pi]", id="density-bounds-phi"),
     pytest.param(lambda: packings.annulus_condition([0.0], 1.0), ValueError,
                  "need at least two latitudes", id="annulus-count"),

@@ -312,6 +312,31 @@ def test_two_point_code_splits_one_one():
     assert count == 1
 
 
+def test_rows_next_to_a_point_are_scored_on_their_own():
+    # directions whose nearest point lies at a dot of about 1e-12, inside
+    # the band that _scored_rows scores again as pts @ d
+    rng = np.random.default_rng(3)
+    pts = spherical.SphericalCode(rng.standard_normal((8, 4)), normalize=True).points
+    near = []
+    for k, offset in enumerate([0.7e-12, 1e-12, -1.3e-12, 1.9e-12]):
+        p = pts[k % pts.shape[0]]
+        v = rng.standard_normal(pts.shape[1])
+        v -= (v @ p) * p
+        near.append(v / np.linalg.norm(v) + offset * p)
+    dirs = np.vstack([spherical._unit_rows(rng.standard_normal((5, pts.shape[1]))), near])
+    scored = list(spherical._scored_rows([dirs], pts, 4, dirs.shape[0]))
+    got = np.vstack([d for d, _s, _c in scored])
+    sides = np.vstack([s for _d, s, _c in scored])
+    closest = np.concatenate([c for _d, _s, c in scored])
+    assert np.array_equal(got, dirs)
+    band = (closest > geometry.EPS_UNIT / 2) & (closest <= 2 * geometry.EPS_UNIT)
+    assert band[5:].all() and not band[:5].any()
+    for d, side, dist in zip(dirs[5:], sides[5:], closest[5:]):
+        dot = pts @ d
+        assert np.array_equal(side, dot >= 0.0)
+        assert dist == np.min(np.abs(dot))
+
+
 # -- composite pipelines -------------------------------------------------------
 
 def test_composite_up_square():
@@ -338,7 +363,7 @@ def test_subcode_template_tetrahedron():
     code = binary.embed_binary(binary.BinaryCode(["000", "011", "101", "110"]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        out = spherical.numerical_spoil(code, "subcode", subcode_steps=1, seed=0)
+        out = spherical._restrict_project_embed(code, 1, code.cos_min_angle, 0)
     assert out.dimension == code.dimension - 1
     assert code.card / 2 <= out.card < code.card
     assert out.cos_min_angle == pytest.approx(code.cos_min_angle, abs=1e-6)
@@ -349,13 +374,14 @@ def test_dim_down_template():
     code = random_sph_code(rng, dim_max=5, card_max=8)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        out = spherical.numerical_spoil(code, "dim_down", seed=1)
+        line = spherical._generic_projection_line(code, np.random.default_rng(1))[0]
+        out, _xi = spherical.spoil2(code, LineThroughOrigin(line))
     assert out.dimension == code.dimension - 1
 
 
 def test_dim_up_template_lambda():
     code = square_code()
-    out = spherical.numerical_spoil(code, "dim_up", lam=0.7)
+    out = spherical.spoil1_lambda(code, 0.7)
     assert out.dimension == 3
     assert out.cos_min_angle == pytest.approx(
         0.7 * code.cos_min_angle + 0.3, abs=1e-9
@@ -411,6 +437,36 @@ def test_composite_down_reports_violated_precondition():
 def test_lambda_out_of_range_is_reported():
     with pytest.raises(LambdaOutOfRange):
         spherical._solve_lambda(-0.5, 0.2)
+
+
+def test_no_projection_line_below_the_ceiling_is_reported():
+    # a projected cosine is never below -1
+    code = random_sph_code(np.random.default_rng(2))
+    with pytest.raises(LambdaOutOfRange, match="no projection line keeps cos phi below"):
+        spherical._spoil2_below(code, -1.5, np.random.default_rng(0))
+
+
+def test_restriction_backtracks_to_the_next_split(monkeypatch):
+    code = spherical.SphericalCode(np.random.default_rng(0).standard_normal((12, 6)),
+                                   normalize=True, check_distinct=False)
+    target = code.cos_min_angle
+    splits = sorted(spherical._balanced_splits(code, 0), key=lambda t: t[2])
+    restrict_project_embed, downstream = spherical._restrict_project_embed, []
+
+    def first_downstream_fails(current, steps_left, target, seed):
+        if steps_left == 0:
+            downstream.append(current.points)
+            if len(downstream) == 1:
+                raise LambdaOutOfRange("the first split fails downstream")
+        return restrict_project_embed(current, steps_left, target, seed)
+
+    monkeypatch.setattr(spherical, "_restrict_project_embed", first_downstream_fails)
+    out = restrict_project_embed(code, 1, target, 0)
+    first, second = (spherical.spoil3(code, line, sign) for line, sign, _c in splits[:2])
+    assert len(downstream) == 2
+    assert np.array_equal(downstream[0], first.points)
+    assert np.array_equal(downstream[1], second.points)
+    assert np.array_equal(out.points, restrict_project_embed(second, 0, target, 0).points)
 
 
 # -- file format ---------------------------------------------------------------
@@ -568,12 +624,6 @@ def test_load_and_spoil2_admit_the_unit_norm_tolerance():
     pytest.param(lambda: spherical.find_balanced_line(spherical.SphericalCode([[1.0, 0.0]])),
                  DegenerateCode, "balanced split needs at least two points",
                  id="balanced-line-one-point"),
-    pytest.param(lambda: spherical.numerical_spoil(square_code(), "dim_up"), ValueError,
-                 "dim_up requires lam", id="template-lam"),
-    pytest.param(lambda: spherical.numerical_spoil(square_code(), "subcode", subcode_steps=0),
-                 ValueError, "subcode steps must satisfy 0 < a < k = 2", id="template-steps"),
-    pytest.param(lambda: spherical.numerical_spoil(square_code(), "bogus"), ValueError,
-                 "unknown template 'bogus'", id="template-name"),
     pytest.param(lambda: spherical.composite_spoil_down(
                      spherical.SphericalCode([[1.0, 0.0], [-1.0, 0.0]]), 0.1),
                  ValueError, "violated precondition k >= a_c: 1 < 3", id="down-k"),
