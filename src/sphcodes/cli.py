@@ -183,11 +183,12 @@ def cmd_spoil(args) -> int:
         out = spherical.composite_spoil_up(code)
     else:  # "down"
         out = spherical.composite_spoil_down(code, phi_c, seed=seed)
+    # every note is computed before the code is written, so that a failure
+    # (a one-point result has no minimum angle) writes nothing
+    notes = [] if xi is None else [f"# xi={fmt(xi)} u={fmt(spherical.xi_to_u(xi))}"]
+    notes.append(f"# result n={out.dimension} card={out.card} cos_phi={fmt(out.cos_min_angle)}")
     _write(args.out, spherical.dump_spherical_code(out))
-    if xi is not None:
-        print(f"# xi={fmt(xi)} u={fmt(spherical.xi_to_u(xi))}", file=sys.stderr)
-    print(f"# result n={out.dimension} card={out.card} "
-          f"cos_phi={fmt(out.cos_min_angle)}", file=sys.stderr)
+    print("\n".join(notes), file=sys.stderr)
     return 0
 
 

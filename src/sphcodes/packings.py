@@ -3,10 +3,9 @@
 Lattice points are integer combinations of the basis rows.  Counting is
 done by exact enumeration under a quadratic-form bound (triangular
 decomposition of the Gram matrix with per-coordinate interval bounds),
-walked in blocks of points within a fixed node budget.  Theta series,
-shell and kissing codes and minimal norms read whole blocks;
-``enumerate_quadratic`` yields one point at a time.  Theta series and
-minimal norms walk half of the ball about 0, as z and -z have one norm.
+walked in blocks of points within a fixed node budget.  About 0 the walk
+covers half the ball, as z and -z have one norm: theta series and minimal
+norms count each pair twice, and point queries mirror it (:func:`_ball`).
 """
 
 from __future__ import annotations
@@ -74,15 +73,14 @@ class Lattice:
         bound = float(np.min(np.diag(self.gram)))
         best = bound
         for _z, values in _quadratic_blocks(self.gram, np.zeros(self.dimension),
-                                            bound + 1e-9, half=True):
+                                            bound + 1e-9):
             nonzero = values[values > 1e-12]
             if nonzero.size:
                 best = min(best, float(nonzero.min()))
         return best
 
 
-def _quadratic_blocks(gram: np.ndarray, center: np.ndarray, bound: float, *,
-                      half: bool = False):
+def _quadratic_blocks(gram: np.ndarray, center: np.ndarray, bound: float):
     """Yield (z, values) blocks of the integer z with (z+center)' G (z+center) <= bound.
 
     With G = R'R (R upper triangular) the coordinates are fixed from the
@@ -90,27 +88,28 @@ def _quadratic_blocks(gram: np.ndarray, center: np.ndarray, bound: float, *,
     length allows (Fincke-Pohst).  One array pass fixes one coordinate for
     a block of prefixes and the blocks go depth-first on a stack, so the
     rows come in the order of the point-by-point walk (last coordinate
-    outermost, each ascending); a block holds at most BLOCK_COORDS
-    coordinates.  ``z`` is an int64 array of rows and ``values`` the float
-    array of their quadratic-form values.  Every integer tried for a
-    coordinate is a node, pruned or not; more than NODE_BUDGET nodes raise
+    outermost, each ascending).  A frame's N nodes go in ceil(N / rows)
+    chunks whose sizes differ by at most one, each at most BLOCK_COORDS
+    coordinates, so no frame leaves a small remainder to go down alone.
+    ``z`` is an int64 array of rows and ``values`` the float array of
+    their quadratic-form values.  Every integer tried for a coordinate is
+    a node, pruned or not; more than NODE_BUDGET nodes raise
     BudgetExceeded before they are built.  A frame carries the partial sums
     sums[:, l] = sum_{j>i} R[l, j] (z_j + c_j), l <= i (Schnorr-Euchner).
 
-    ``half`` walks one half of a ball about a zero center: a coordinate
+    About an all-zero center the walk covers half the ball: a coordinate
     whose prefix (the coordinates already fixed) is all zero starts at 0,
     so the zero row comes once and each other z only if its last nonzero
-    coordinate is positive.  About a zero center every operation on a
-    row is elementwise and sign-symmetric, so -z has the bit-identical
-    value of z.  The budget counts the nodes of this half walk.
+    coordinate is positive.  There every operation on a row is elementwise
+    and sign-symmetric, so -z has the bit-identical value of z, and
+    :func:`_ball` mirrors the rows.  About any other center the walk
+    covers the whole ball.
     """
     gram = np.asarray(gram, dtype=float)
     c = np.asarray(center, dtype=float)
     if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(c))
             and math.isfinite(bound)):
         raise ValueError("enumeration needs a finite Gram matrix, center and bound")
-    if half and np.any(c):
-        raise ValueError("a half walk needs a zero center")
     n = gram.shape[0]
     R = np.linalg.cholesky(gram).T  # upper triangular, G = R'R
     rows = max(1, BLOCK_COORDS // n)
@@ -121,7 +120,7 @@ def _quadratic_blocks(gram: np.ndarray, center: np.ndarray, bound: float, *,
 
         ``zero_first``: row 0 of z is the zero prefix of a half walk.  The
         zero prefix's first child is its zero, never pruned (its term is
-        0), so it stays row 0 of the first block of the next frame.
+        0), so it stays row 0 of the first chunk of the next frame.
         """
         nonlocal visited
         radius = np.sqrt(np.maximum(rem, 0.0))
@@ -136,19 +135,21 @@ def _quadratic_blocks(gram: np.ndarray, center: np.ndarray, bound: float, *,
         width = width.astype(np.int64)
         ends = np.cumsum(width)
         # node k of the frame is in prefix p = searchsorted(ends, k, "right")
-        # and sets coordinate i to k + offset[p]; the last item is the next k
+        # and sets coordinate i to k + offset[p]; chunk j of the frame holds
+        # nodes j N // chunks up to (j + 1) N // chunks; the last item is j
         return [i, z, rem, acc, sums, lo.astype(np.int64) + width - ends, ends,
-                zero_first, 0]
+                zero_first, max(1, -(-int(ends[-1]) // rows)), 0]
 
     stack = [frame(n - 1, np.zeros((1, n), dtype=np.int64),
-                   np.array([float(bound)]), np.zeros(1), np.zeros((1, n)), half)]
+                   np.array([float(bound)]), np.zeros(1), np.zeros((1, n)),
+                   not np.any(c))]
     while stack:
         top = stack[-1]
-        i, z, rem, acc, sums, offset, ends, zero_first, done = top
-        top[-1] = stop = min(int(ends[-1]), done + rows)
-        if stop == ends[-1]:
+        i, z, rem, acc, sums, offset, ends, zero_first, chunks, j = top
+        top[-1] = j + 1
+        if j + 1 == chunks:
             stack.pop()
-        k = np.arange(done, stop)
+        k = np.arange(j * int(ends[-1]) // chunks, (j + 1) * int(ends[-1]) // chunks)
         p = np.searchsorted(ends, k, side="right")
         zi = k + offset[p]
         term = (R[i, i] * (zi + c[i]) + sums[p, i]) ** 2
@@ -163,17 +164,39 @@ def _quadratic_blocks(gram: np.ndarray, center: np.ndarray, bound: float, *,
         else:
             stack.append(frame(i - 1, z_next, rem[p] - term, acc[p] + term,
                                sums[p, :i] + np.multiply.outer(zi + c[i], R[:i, i]),
-                               zero_first and done == 0))
+                               zero_first and j == 0))
+
+
+def _ball(gram: np.ndarray, center: np.ndarray, bound: float):
+    """(z, values) of every integer z with (z+center)' G (z+center) <= bound.
+
+    The rows of :func:`_quadratic_blocks` in one array, in the order of the
+    walk over the whole ball (last coordinate outermost, each ascending).
+    About 0 that walk is the half walk, so the negations of its nonzero
+    rows, with their bit-identical values, complete the ball.
+    """
+    c = np.asarray(center, dtype=float)
+    blocks = list(_quadratic_blocks(gram, c, bound))
+    if not blocks:
+        return np.zeros((0, c.size), dtype=np.int64), np.zeros(0)
+    z = np.concatenate([rows for rows, _ in blocks])
+    values = np.concatenate([vals for _, vals in blocks])
+    if not np.any(c):
+        mirror = np.any(z, axis=1)
+        z, values = np.concatenate([z, -z[mirror]]), np.concatenate([values, values[mirror]])
+        order = np.lexsort(z.T)
+        z, values = z[order], values[order]
+    return z, values
 
 
 def enumerate_quadratic(gram: np.ndarray, center: np.ndarray, bound: float):
     """Yield (z, value) for integer z with (z+center)' G (z+center) <= bound.
 
-    The per-point view of ``_quadratic_blocks``: the same points, order,
-    values and node budget.  ``z`` is an int64 row of its block.
+    The per-point view of :func:`_ball`: the same points, order, values
+    and node budget.  ``z`` is an int64 row.
     """
-    for z, values in _quadratic_blocks(gram, center, bound):
-        yield from zip(z, values.tolist())
+    z, values = _ball(gram, center, bound)
+    yield from zip(z, values.tolist())
 
 
 @dataclass(frozen=True)
@@ -214,8 +237,7 @@ def _theta(lattice: Lattice, translates, m_max: float) -> ThetaCoefficients:
         shift = lattice.coords_of(tj - tk)
         half = not np.any(shift)
         hits = Counter({0.0: -1} if half else {})
-        for _z, values in _quadratic_blocks(lattice.gram, shift, m_max + 1e-9,
-                                            half=half):
+        for _z, values in _quadratic_blocks(lattice.gram, shift, m_max + 1e-9):
             keys, n = np.unique(values, return_counts=True)
             for value, hit in zip(keys.tolist(), n.tolist()):
                 hits[value] += 2 * hit if half else hit
@@ -315,9 +337,7 @@ def _centers_at_distance(packing: PeriodicPacking, x0: np.ndarray, u: float) -> 
     found = []
     for t in packing.translate_vectors:
         shift = lat.coords_of(t - x0)
-        blocks = [z for z, _v in _quadratic_blocks(lat.gram, shift, bound)]
-        z = (np.concatenate(blocks) if blocks
-             else np.zeros((0, lat.dimension), dtype=np.int64))
+        z, _values = _ball(lat.gram, shift, bound)
         centers = (z + shift) @ lat.basis
         d = np.sqrt(np.vecdot(centers, centers))
         found.append(centers[np.abs(d - u) <= SHELL_TOL])
@@ -480,20 +500,19 @@ def packing_density(packing: PeriodicPacking) -> float:
 def density_bounds(n: int, phi: float) -> tuple[float, float]:
     """Upper bounds on packing density from spherical-code cardinalities.
 
-    Returns ``(embedding_bound, projection_bound)``: sin^n(phi/2) times the
-    cardinality of :func:`estimate_max_points` in dimension n+1 (valid for
-    all angles) and in dimension n (valid only for phi >= pi/3).  Each is a
-    bound as far as that estimate bounds the maximal cardinality.  Values
-    above 1 are vacuous and reported as computed.
+    Both are defined for pi/3 <= phi <= pi, the domain of the projection
+    bound.  Returns ``(embedding_bound, projection_bound)``: sin^n(phi/2)
+    times the cardinality of :func:`estimate_max_points` in dimension n+1
+    and in dimension n.  Each is a bound as far as that estimate bounds the
+    maximal cardinality.  Values above 1 are vacuous and reported as
+    computed.
     """
     if not (0.0 < phi <= math.pi):
         raise ValueError("phi must be in (0, pi]")
-    s = math.sin(phi / 2) ** n
-    bound_embed = s * estimate_max_points(n + 1, phi)[0]
     if phi < math.pi / 3:
         raise ValueError("projection bound requires phi >= pi/3")
-    bound_proj = s * estimate_max_points(n, phi)[0]
-    return bound_embed, bound_proj
+    s = math.sin(phi / 2) ** n
+    return s * estimate_max_points(n + 1, phi)[0], s * estimate_max_points(n, phi)[0]
 
 
 def annulus_condition(latitudes, phi: float) -> float:

@@ -510,10 +510,12 @@ def composite_spoil_up(code: SphericalCode) -> SphericalCode:
 def composite_spoil_down(code: SphericalCode, phi_c: float, *, seed: int = 0) -> SphericalCode:
     """Pipeline to parameters [n-1, k-a_c, n/(n-1) cos - cos(phi_c)/(n-1)].
 
-    ``a_c`` is floor(H(phi_c)); the code must have phi > phi_c, k >= a_c,
-    and enough room for the final lambda solve to land in [0, 1] (checked
-    at runtime).
+    ``a_c`` is floor(H(phi_c)) for 0 < phi_c <= pi/2; the code must have
+    phi > phi_c, k >= a_c and n >= 3 (it is projected twice), and enough
+    room for the final lambda solve to land in [0, 1] (checked at runtime).
     """
+    if not 0.0 < phi_c <= math.pi / 2:
+        raise ValueError(f"phi_c must be in (0, pi/2], got {phi_c}")
     n = code.dimension
     a_c = int(np.floor(kl_bound(phi_c)))
     if code.min_angle <= phi_c:
@@ -523,6 +525,8 @@ def composite_spoil_down(code: SphericalCode, phi_c: float, *, seed: int = 0) ->
     k = float(np.log2(code.card))
     if k < a_c:
         raise ValueError(f"violated precondition k >= a_c: {k:.4g} < {a_c}")
+    if n < 3:
+        raise ValueError(f"the pipeline projects twice, so it needs n >= 3, got n = {n}")
     target = n / (n - 1) * code.cos_min_angle - float(np.cos(phi_c)) / (n - 1)
     return _restrict_project_embed(code, a_c, target, seed)
 

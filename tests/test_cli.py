@@ -532,6 +532,33 @@ def test_spoil_write_failure_prints_only_the_error(capsys, tmp_path):
     assert err == f"error: --out {str(out_path)!r}: No such file or directory\n"
 
 
+@pytest.mark.parametrize("text, op_args", [
+    ("dim 2\n1 0\n0 1\n", ["--op", "3", "--line", "1,-1"]),
+    ("dim 2\n1 0\n", ["--op", "1"]),
+    ("dim 2\n1 0\n", ["--op", "up"]),
+])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_spoil_to_one_point_prints_only_the_error(capsys, tmp_path, text, op_args, to_file):
+    # a one-point result has no minimum angle for the "# result" note, which
+    # is computed before the code is printed or written
+    path = tmp_path / "code.txt"
+    path.write_text(text)
+    out_path = tmp_path / "out.txt"
+    rc, out, err = run(capsys, "spoil", str(path), *op_args,
+                       *(["--out", str(out_path)] if to_file else []))
+    assert (rc, out) == (1, "")
+    assert err == "error: minimum angle needs at least two points\n"
+    assert not out_path.exists()
+
+
+def test_spoil_down_on_a_line_prints_one_error(capsys, tmp_path):
+    path = tmp_path / "code.txt"
+    path.write_text("dim 1\n1\n-1\n")
+    rc, out, err = run(capsys, "spoil", str(path), "--op", "down", "--phi-c", "1.5")
+    assert (rc, out) == (1, "")
+    assert err == "error: the pipeline projects twice, so it needs n >= 3, got n = 1\n"
+
+
 def test_library_warning_prints_one_line(capsys, tmp_path):
     path = tmp_path / "code.txt"
     path.write_text("dim 2\n1 0\n0 1\n-1 0\n")

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sphcodes import atlas as atlas_mod
@@ -297,12 +297,12 @@ def ref_theta(lattice, translates, m_max):
 
 
 def ref_centers_at_distance(packing, x0, u):
-    """Shell centers from the rows that the point view yields."""
+    """Shell centers from the rows of the recursive walk over the whole ball."""
     lat = packing.lattice
     found = []
     for t in packing.translate_vectors:
         shift = lat.coords_of(t - x0)
-        rows = [z for z, _q in packings.enumerate_quadratic(
+        rows = [z for z, _q in ref_enumerate_quadratic(
             lat.gram, shift, (u + packings.SHELL_TOL) ** 2)]
         centers = (np.reshape(rows, (-1, lat.dimension)) + shift) @ lat.basis
         d = np.sqrt(np.vecdot(centers, centers))
@@ -943,16 +943,27 @@ def test_enumeration_matches_recursive_walk(name):
     gram, center, bound = ENUMERATIONS[name]()
     ref_z, ref_q = zip(*ref_enumerate_quadratic(gram, center, bound))
     z, q = zip(*packings.enumerate_quadratic(gram, center, bound))
-    assert all(row.base.size <= packings.BLOCK_COORDS for row in z)  # block size
     assert np.array_equal(np.array(z), np.array(ref_z))
     assert np.array_equal(np.array(q), np.array(ref_q))
+    blocks = [rows for rows, _ in packings._quadratic_blocks(gram, center, bound)]
+    assert all(rows.size <= packings.BLOCK_COORDS for rows in blocks)
+
+
+def test_a_frame_takes_its_nodes_in_equal_chunks():
+    # Z^400 to norm 1: each frame of the half walk holds one node more than
+    # the last.  Full chunks plus a remainder would send each remainder down
+    # level by level on its own, 362 blocks in all
+    blocks = [z for z, _ in packings._quadratic_blocks(np.eye(400), np.zeros(400), 1 + 1e-9)]
+    assert len(blocks) == 19
+    assert sum(map(len, blocks)) == 401  # 0 and the unit vectors e_i
 
 
 @pytest.mark.parametrize("name", sorted(ENUMERATIONS))
 def test_enumeration_budget_is_the_node_count(name, monkeypatch):
+    # the walk about 0 is the half walk, and the budget counts its nodes
     gram, center, bound = ENUMERATIONS[name]()
     nodes = []
-    list(ref_enumerate_quadratic(gram, center, bound, nodes=nodes))
+    list(ref_enumerate_quadratic(gram, center, bound, nodes=nodes, half=not center.any()))
     monkeypatch.setattr(packings, "NODE_BUDGET", nodes[0])
     list(packings.enumerate_quadratic(gram, center, bound))
     list(packings._quadratic_blocks(gram, center, bound))
@@ -1018,12 +1029,12 @@ def test_half_walk_is_the_sign_rule_of_the_full_walk(name, monkeypatch):
     # every node pairs with its mirror except the 2a + 1 of the n zero-prefix frames
     assert 2 * half_nodes[0] == full_nodes[0] + n
     monkeypatch.setattr(packings, "NODE_BUDGET", half_nodes[0])
-    blocks = list(packings._quadratic_blocks(gram, center, bound, half=True))
+    blocks = list(packings._quadratic_blocks(gram, center, bound))
     assert np.array_equal(np.concatenate([z for z, _ in blocks]), [z for z, _ in ref])
     assert np.array_equal(np.concatenate([v for _, v in blocks]), [q for _, q in ref])
     monkeypatch.setattr(packings, "NODE_BUDGET", half_nodes[0] - 1)
     with pytest.raises(BudgetExceeded):
-        list(packings._quadratic_blocks(gram, center, bound, half=True))
+        list(packings._quadratic_blocks(gram, center, bound))
 
 
 def test_half_walk_node_counts_on_e8_to_norm_12():
@@ -1037,23 +1048,40 @@ def test_half_walk_node_counts_on_e8_to_norm_12():
     assert counts == [(214_038, 117_361), (107_023, 58_681)]
 
 
-def test_half_walk_needs_a_zero_center():
-    with pytest.raises(ValueError, match="zero center"):
-        list(packings._quadratic_blocks(np.eye(2), np.array([0.0, 0.5]), 4.0, half=True))
+def test_a_nonzero_center_walks_the_whole_ball():
+    # one nonzero coordinate is enough: z with a negative last nonzero
+    # coordinate come too, in the order of the point-by-point walk
+    gram, center = np.eye(2), np.array([0.0, 0.5])
+    ref = [z.tolist() for z, _ in ref_enumerate_quadratic(gram, center, 4.0)]
+    rows = np.concatenate([z for z, _ in packings._quadratic_blocks(gram, center, 4.0)])
+    assert rows.tolist() == ref and [-1, -1] in ref
 
 
-def test_whole_walk_gives_minus_z_the_value_of_z_to_the_bit():
-    # the half walk counts z for -z; a prefix sum whose rounding depends on
-    # the row's position in its block (a BLAS product) breaks this here
+def walk_values(gram, z):
+    """The values of the rows z, computed with the walk's own elementwise
+    operations on all rows at once: the partial sums go down the levels
+    and each level adds its squared term."""
+    n = gram.shape[0]
+    R = np.linalg.cholesky(gram).T
+    acc, sums = np.zeros(len(z)), np.zeros((len(z), n))
+    for i in range(n - 1, -1, -1):
+        zi = z[:, i] + 0.0
+        acc = acc + (R[i, i] * zi + sums[:, i]) ** 2
+        sums = sums[:, :i] + np.multiply.outer(zi, R[:i, i])
+    return acc
+
+
+def test_ball_gives_minus_z_the_value_of_z_to_the_bit():
+    # the ball about 0 takes the value of -z from z; a prefix sum whose
+    # rounding depends on the row's position in its block (a BLAS product)
+    # breaks the match with the row-by-row value here
     for n in range(8, 14):
         for seed in range(5):
             a = np.random.default_rng(1000 * n + seed).standard_normal((n, n))
             gram = a @ a.T + 0.5 * np.eye(n)
-            values = {}
-            for z, v in packings._quadratic_blocks(gram, np.zeros(n),
-                                                   4 * float(np.min(np.diag(gram)))):
-                values.update(zip(map(tuple, z.tolist()), v.tolist()))
-            assert all(values[tuple(-x for x in z)] == q for z, q in values.items())
+            z, values = packings._ball(gram, np.zeros(n), 4 * float(np.min(np.diag(gram))))
+            assert len(z) > 2 * n
+            assert np.array_equal(values, walk_values(gram, z))
 
 
 def unimodular(n, rng, ops):
@@ -1094,6 +1122,32 @@ def test_half_walk_theta_matches_the_full_walk_on_random_grams(n, seed, m_max):
     lattice = packings.Lattice(np.linalg.cholesky(a @ a.T + 0.5 * np.eye(n)))
     theta = packings._theta(lattice, [np.zeros(n)], m_max)
     assert repr(theta.entries) == repr(ref_theta(lattice, [np.zeros(n)], m_max))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([*sorted(SKEWABLE), "random"]), st.integers(1, 5),
+       st.integers(0, 2**32 - 1), st.floats(-0.25, 1.0))
+@example("Z4", 4, 0, -0.1)  # a negative bound: not even the zero row
+def test_the_ball_is_the_whole_walk(name, n, seed, fraction):
+    rng = np.random.default_rng(seed)
+    if name == "random":  # a positive-definite Gram matrix, kept away from singular
+        a = rng.standard_normal((n, n))
+        lattice, m_max = packings.Lattice(np.linalg.cholesky(a @ a.T + 0.5 * np.eye(n))), 6.0
+    else:
+        basis, m_max = SKEWABLE[name][0](), SKEWABLE[name][1]
+        lattice = packings.Lattice(unimodular(basis.shape[0], rng, 8) @ basis)
+    gram, dim = lattice.gram, lattice.dimension
+    # about 0, to a bound that may be negative
+    ref = [z for z, _ in ref_enumerate_quadratic(gram, np.zeros(dim), fraction * m_max)]
+    got = [z for z, _ in packings.enumerate_quadratic(gram, np.zeros(dim), fraction * m_max)]
+    assert len(got) == len(ref)
+    assert all(g.dtype == r.dtype and np.array_equal(g, r) for g, r in zip(got, ref))
+    # the kissing shell about a lattice point that is a sphere center
+    x0 = rng.integers(-2, 3, dim) @ lattice.basis
+    packing = packings.touching_packing(lattice, [x0])
+    got = packings._centers_at_distance(packing, x0, 2 * packing.radius)
+    ref = ref_centers_at_distance(packing, x0, 2 * packing.radius)
+    assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("name", sorted(SKEWABLE))

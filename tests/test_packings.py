@@ -382,8 +382,11 @@ def test_density_bound_dominates_hexagonal():
 
 
 def test_density_bound_requires_large_angle():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="projection bound requires phi >= pi/3"):
         packings.density_bounds(2, math.pi / 4)
+    # the domain is checked before the embedding bound, which overflows here
+    with pytest.raises(ValueError, match="projection bound requires phi >= pi/3"):
+        packings.density_bounds(1000, 0.5)
 
 
 def test_wrapped_density_ratio_near_one():

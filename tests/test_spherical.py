@@ -627,6 +627,13 @@ def test_load_and_spoil2_admit_the_unit_norm_tolerance():
     pytest.param(lambda: spherical.composite_spoil_down(
                      spherical.SphericalCode([[1.0, 0.0], [-1.0, 0.0]]), 0.1),
                  ValueError, "violated precondition k >= a_c: 1 < 3", id="down-k"),
+    pytest.param(lambda: spherical.composite_spoil_down(square_code(), math.nan), ValueError,
+                 "phi_c must be in (0, pi/2], got nan", id="down-phi-c"),
+    pytest.param(lambda: spherical.composite_spoil_down(
+                     spherical.SphericalCode([[1.0], [-1.0]]), 1.5),
+                 ValueError, "it needs n >= 3, got n = 1", id="down-n-1"),
+    pytest.param(lambda: spherical.composite_spoil_down(square_code(), 0.3), ValueError,
+                 "it needs n >= 3, got n = 2", id="down-n-2"),
     pytest.param(lambda: spherical.load_spherical_code("# c\n"), InputFormatError,
                  "no points found", id="load-no-points"),
 ])
