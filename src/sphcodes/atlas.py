@@ -86,7 +86,7 @@ def _spoil_once(code: SphericalCode, rng: np.random.Generator) -> SphericalCode 
         if code.dimension < 3:  # "project"
             return None
         v = rng.standard_normal(code.dimension)
-        line = spherical.LineThroughOrigin(v / np.linalg.norm(v))
+        line = spherical.LineThroughOrigin(v / math.sqrt(v.dot(v)))
         return spherical.spoil2(code, line)[0]
     except (DegenerateCode, PointOnAxis, SearchBudgetExhausted):
         return None
@@ -206,11 +206,8 @@ def dump_atlas(atlas: Atlas) -> str:
         f"a_c {atlas.cutoff.a_c}",
         f"points {len(atlas.observed)}",
     ]
-    for p in atlas.observed:
-        lines.append(
-            f"{p.rate:.17g} {p.cos_phi:.17g} {p.dimension} {p.card} {p.provenance}"
-        )
+    lines += ["%.17g %.17g %d %d %s" % (p.rate, p.cos_phi, p.dimension, p.card, p.provenance)
+              for p in atlas.observed]
     lines.append(f"envelope {atlas.phi_grid.size}")
-    for phi, r in zip(atlas.phi_grid, atlas.envelope):
-        lines.append(f"{phi:.17g} {r:.17g}")
+    lines += spherical.format_rows(np.column_stack([atlas.phi_grid, atlas.envelope]))
     return "\n".join(lines) + "\n"

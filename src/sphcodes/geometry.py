@@ -61,7 +61,7 @@ def as_unit(coords) -> np.ndarray:
     v = np.asarray(coords, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise ValueError("unit vector must be a 1-d array of dimension >= 1")
-    nrm = float(np.linalg.norm(v))
+    nrm = math.sqrt(v.dot(v))  # np.linalg.norm's formula for a vector
     if not abs(nrm - 1.0) <= EPS_UNIT:  # written so that a nan norm fails too
         raise ValueError(f"vector norm {nrm!r} is not within {EPS_UNIT} of 1")
     return v
@@ -145,6 +145,13 @@ def pairwise_cos(points: np.ndarray) -> np.ndarray:
     return np.clip(g, -1.0, 1.0)
 
 
+def _strip_rows(rows_left: int) -> int:
+    """Row count of the Gram strip that ``rows_left`` rows still need:
+    the largest power of two of at most BLOCK_ENTRIES // rows_left, and 1
+    when that is 0."""
+    return 1 << (max(1, BLOCK_ENTRIES // rows_left).bit_length() - 1)
+
+
 def _gram_strips(x: np.ndarray):
     """Row strips of the upper triangle of the Gram matrix of the rows of ``x``.
 
@@ -158,7 +165,7 @@ def _gram_strips(x: np.ndarray):
     """
     card, start = x.shape[0], 0
     while start < card:
-        stop = start + (1 << (max(1, BLOCK_ENTRIES // (card - start)).bit_length() - 1))
+        stop = start + _strip_rows(card - start)
         yield start, x[start:stop] @ x[start:].T
         start = stop
 
@@ -169,17 +176,22 @@ def max_gram_pair(x, near: float = math.inf) -> tuple[float, tuple[int, int], li
 
     Of equal entries, the pair first in row-major order is returned.  The
     pairs at least ``near`` come in row-major order, as one (2, count)
-    index array for each strip that holds one.
+    index array for each strip that holds one.  A code that fits in one
+    strip is scanned as that strip, ``x @ x.T``, without the generator.
     """
+    x = np.asarray(x, dtype=float)
+    card = x.shape[0]
+    strips = [(0, x @ x.T)] if card <= _strip_rows(card) else _gram_strips(x)
     best, pair, above = -math.inf, (0, 1), []
-    for start, strip in _gram_strips(np.asarray(x, dtype=float)):
+    for start, strip in strips:
         rows = np.arange(strip.shape[0])
         strip[:, :rows.size][rows[:, None] >= rows] = -np.inf  # the pairs j <= i
-        k = int(np.argmax(strip))
-        if strip.flat[k] > best:  # strict, so that an earlier strip wins a tie
+        k = int(strip.argmax())
+        top = float(strip.flat[k])
+        if top > best:  # strict, so that an earlier strip wins a tie
             r, c = divmod(k, strip.shape[1])
-            best, pair = float(strip.flat[k]), (start + r, start + c)
-        if strip.flat[k] >= near:
+            best, pair = top, (start + r, start + c)
+        if top >= near:
             above.append(np.array(np.nonzero(strip >= near)) + start)
     return best, pair, above
 
@@ -239,16 +251,30 @@ def section_radius(h: float) -> float:
 def orthonormal_complement(normal: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of the hyperplane orthogonal to ``normal``.
 
-    Returns an (m, m-1) matrix whose columns are the basis vectors.  The
-    construction pivots on the largest-magnitude coordinate of the normal,
-    projects the other coordinate axes onto the hyperplane and takes their
-    QR factorization with R's diagonal made positive: up to rounding, the
-    Gram-Schmidt basis of the projected axes in coordinate order.
+    Returns an (m, m-1) matrix whose columns are the basis vectors: the
+    Gram-Schmidt basis, in coordinate order, of the coordinate axes other
+    than the pivot p, the first coordinate of the largest magnitude, each
+    projected onto the hyperplane.  It has a closed form.  For the unit
+    normal w and an axis j != p, let T_j hold p and the axes i >= j, S_j be
+    the sum of w_i^2 over T_j and t_j = w_j / S_j: the column of axis j is
+    e_j - t_j * w restricted to T_j, divided by its norm sqrt(1 - w_j t_j).
+    S_j >= w_p^2 + w_j^2 >= 2 w_j^2 keeps that norm at least sqrt(1/2).
+    Entries off T_j are +0.0, so an axis normal gives the other axes exactly.
     """
     w = as_unit(normal)
-    keep = np.arange(w.size) != np.argmax(np.abs(w))
-    q, r = np.linalg.qr(np.eye(w.size)[:, keep] - np.outer(w, w[keep]))
-    return q * np.sign(r.diagonal())
+    m = w.size
+    p = int(np.abs(w).argmax())
+    k = np.arange(m - 1)
+    axes = k + (k >= p)  # the axis of each column
+    wj = w[axes]
+    t = wj / (np.add.accumulate((wj * wj)[::-1])[::-1] + w[p] * w[p])
+    r = np.sqrt(1.0 - wj * t)
+    on_t = np.arange(m)[:, None] > axes  # T_j without j itself
+    on_t[p] = True
+    q = np.zeros((m, m - 1))
+    np.subtract(q, w[:, None] * (t / r), out=q, where=on_t)  # 0 - 0 is +0.0
+    q[axes, k] = r
+    return q
 
 
 def project_points(points, line: LineThroughOrigin) -> tuple[np.ndarray, np.ndarray]:
@@ -265,12 +291,12 @@ def project_points(points, line: LineThroughOrigin) -> tuple[np.ndarray, np.ndar
     d = line.direction
     if x.ndim != 2 or x.shape[1] != d.size:
         raise DimensionMismatch(f"points of shape {x.shape} != line dimension {d.size}")
-    if np.any(np.abs(np.sqrt(np.vecdot(x, x)) - 1.0) > EPS_NORM):
+    if (np.abs(np.sqrt(np.vecdot(x, x)) - 1.0) > EPS_NORM).any():
         raise ValueError(f"point norms are not within {EPS_NORM} of 1")
     comps = x @ d
     resid = x - comps[:, None] * d
     nrms = np.sqrt(np.vecdot(resid, resid))
-    if np.any(nrms <= EPS_UNIT):
+    if (nrms <= EPS_UNIT).any():
         raise PointOnAxis("point lies on the projection axis")
     return (resid @ orthonormal_complement(d)) / nrms[:, None], comps
 

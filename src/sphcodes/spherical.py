@@ -62,12 +62,12 @@ class SphericalCode:
             raise ValueError("points must have finite coordinates")
         if normalize and top > 2.0 ** 500:  # the squared norms could overflow
             pts = geometry.scaled_rows(pts)
-        norms = np.linalg.norm(pts, axis=1)
+        norms = np.sqrt(np.add.reduce(pts * pts, axis=1))  # np.linalg.norm's formula
         if normalize:
-            if np.any(norms <= EPS_UNIT):
+            if (norms <= EPS_UNIT).any():
                 raise ValueError("cannot normalize a zero point")
             pts = pts / norms[:, None]
-        elif np.any(np.abs(norms - 1.0) > EPS_NORM):
+        elif (np.abs(norms - 1.0) > EPS_NORM).any():
             worst = float(np.max(np.abs(norms - 1.0)))
             raise ValueError(f"points are not unit vectors (max norm error {worst:.3e})")
         self._points = pts
@@ -167,17 +167,37 @@ def spoil1_lambda(code: SphericalCode, lam: float) -> SphericalCode:
     is [I | 0], so each point x maps to [rho * x, h] with
     rho = sqrt(1 - h^2), then the rows are normalized.  Adding 0.0 to
     rho * x turns -0.0 into +0.0 as spoil1's matrix product does, so the
-    two agree bit for bit.  lam = 1 is the equatorial embedding; lam = 0
-    would collapse the whole code to a pole and is rejected.
+    two agree bit for bit.  lam = 1 is the equatorial embedding; a lam so
+    small that h rounds to 1, lam = 0 among them, would collapse the whole
+    code to a pole and is rejected.
+
+    The map of cosines is increasing and the same for every pair, so the
+    result's minimum angle comes from the formula, with no Gram scan: its
+    pair is the code's own ``min_angle_pair``, and its cos phi is
+    lam * cos phi + 1 - lam of the code's.  Below NEAR_ANGLE, where arccos
+    resolves angles poorly, the angle is that pair's chord angle in the new
+    points, as :func:`geometry.min_angle` measures a near pair.
     """
     if not (0.0 <= lam <= 1.0):
         raise ValueError(f"lambda must be in [0, 1], got {lam}")
-    if lam == 0.0:
-        raise CollapseError("lambda = 0 maps every point to a single pole")
-    h = float(np.sqrt(1.0 - lam))
-    rho_x = geometry.section_radius(h) * code.points + 0.0
-    new_pts = np.column_stack([rho_x, np.full(code.card, h)])
-    return SphericalCode(new_pts, normalize=True, check_distinct=False)
+    h = math.sqrt(1.0 - lam)
+    if h == 1.0:
+        raise CollapseError(f"lambda = {lam!r} maps every point to a single pole: "
+                            "sqrt(1 - lambda) rounds to 1")
+    card, n = code.points.shape
+    new_pts = np.empty((card, n + 1))
+    np.multiply(code.points, geometry.section_radius(h), out=new_pts[:, :n])
+    new_pts[:, :n] += 0.0
+    new_pts[:, n] = h
+    out = SphericalCode(new_pts, normalize=True, check_distinct=False)
+    if card >= 2:
+        i, j = code.min_angle_pair
+        phi = math.acos(geometry.clamp_cos(lam * code.cos_min_angle + (1.0 - lam)))
+        if phi < geometry.NEAR_ANGLE:
+            diff = out.points[i] - out.points[j]
+            phi = 2.0 * math.asin(math.sqrt(diff.dot(diff)) / 2.0)
+        out._min_angle = (phi, (i, j))  # the value of the cached property
+    return out
 
 
 def spoil2(code: SphericalCode, line: LineThroughOrigin) -> tuple[SphericalCode, float]:
@@ -192,7 +212,7 @@ def spoil2(code: SphericalCode, line: LineThroughOrigin) -> tuple[SphericalCode,
     if code.dimension < 2:
         raise DegenerateCode("cannot project a code on S^0")
     pts, comps = geometry.project_points(code.points, line)
-    xi = min(1.0, float(np.min(np.sqrt(np.maximum(0.0, 1.0 - comps * comps)))))
+    xi = min(1.0, float(np.sqrt(np.maximum(0.0, 1.0 - comps * comps)).min()))
     out = SphericalCode(pts, normalize=True, check_distinct=False)
     if out.card >= 2 and out.min_angle >= EPS_ANGLE:  # the common case: one scan
         return out, xi
@@ -226,7 +246,7 @@ def spoil3(code: SphericalCode, line: LineThroughOrigin, sign: int) -> Spherical
         raise ValueError("sign must be +1 or -1")
     dots = code.points @ line.direction
     mask = dots >= 0.0 if sign > 0 else dots < 0.0
-    if not np.any(mask):
+    if not mask.any():
         raise DegenerateCode("selected hemisphere contains no point")
     return SphericalCode(code.points[mask], check_distinct=False)
 
@@ -275,8 +295,8 @@ def _scored_rows(blocks, pts: np.ndarray, rows: int, left: int):
             dirs = block[start:start + rows][:left]
             dots = dirs @ pts.T
             sides = dots >= 0.0
-            closest = np.min(np.abs(dots, out=dots), axis=1)
-            for r in np.flatnonzero((closest > EPS_UNIT / 2) & (closest <= 2 * EPS_UNIT)):
+            closest = np.minimum.reduce(np.abs(dots, out=dots), axis=1)
+            for r in ((closest > EPS_UNIT / 2) & (closest <= 2 * EPS_UNIT)).nonzero()[0]:
                 dot = pts @ dirs[r]
                 sides[r], closest[r] = dot >= 0.0, np.min(np.abs(dot))
             yield dirs, sides, closest
@@ -319,6 +339,13 @@ def _scored_candidates(code: SphericalCode, seed: int):
         yield from _scored_rows(blocks, pts, rows, left)
 
 
+def _larger_side(line: LineThroughOrigin, plus: int, card: int) -> tuple:
+    """``(line, sign, count)`` of the first admissible side of a line with
+    ``plus`` of ``card`` points on its + side, 0 < plus < card: +1 when
+    that side holds at least half, else -1."""
+    return (line, +1, plus) if 2 * plus >= card else (line, -1, card - plus)
+
+
 def _balanced_splits(code: SphericalCode, seed: int):
     """Admissible balanced splits ``(line, sign, count)``, card/2 <= count < card.
 
@@ -340,26 +367,27 @@ def _balanced_splits(code: SphericalCode, seed: int):
     pts, card = code.points, code.card
     fallback, seen = None, set()
     for dirs, sides, closest in _scored_candidates(code, seed):
-        clean = closest > EPS_UNIT
-        need_fallback = not seen and fallback is None
-        if need_fallback and not clean.all():
-            # the side of a point next to the plane is the one that scoring
-            # the direction on its own gives
-            sides[~clean] = [pts @ d >= 0.0 for d in dirs[~clean]]
-        plus = np.count_nonzero(sides, axis=1)
-        counts = np.column_stack([plus, card - plus])  # signs +1, -1
-        valid = (card / 2 <= counts) & (counts < card)
-        if need_fallback and valid.any():
-            r, s = divmod(int(np.argmax(valid)), 2)
-            fallback = LineThroughOrigin(dirs[r]), 1 - 2 * s, int(counts[r, s])
-        for r in np.flatnonzero(clean & valid.any(axis=1)):
-            side = sides[r]
-            for s, mask in enumerate((side, ~side)):
-                if valid[r, s] and mask.tobytes() not in seen:
+        plus = sides.sum(axis=1)
+        # a row has an admissible side iff 0 < plus < card: one pass finds
+        # the clean ones, and only they are turned into lines
+        for r in ((closest > EPS_UNIT) & (plus > 0) & (plus < card)).nonzero()[0]:
+            line, side, p = None, sides[r], int(plus[r])
+            for sign, mask, count in ((+1, side, p), (-1, ~side, card - p)):
+                if 2 * count >= card and mask.tobytes() not in seen:
                     seen.add(mask.tobytes())
-                    yield LineThroughOrigin(dirs[r]), 1 - 2 * s, int(counts[r, s])
+                    line = line or LineThroughOrigin(dirs[r])
+                    yield line, sign, count
             if len(seen) >= 16:
                 return
+        if seen or fallback is not None:
+            continue
+        # the side of a point next to the plane is the one that scoring the
+        # direction on its own gives
+        for r in (closest <= EPS_UNIT).nonzero()[0]:
+            count = int(np.count_nonzero(pts @ dirs[r] >= 0.0))
+            if 0 < count < card:
+                fallback = _larger_side(LineThroughOrigin(dirs[r]), count, card)
+                break
     if seen:
         return
     if fallback is None:
@@ -368,9 +396,8 @@ def _balanced_splits(code: SphericalCode, seed: int):
         if diff.any():  # else p_i and p_j coincide
             line = LineThroughOrigin(diff / math.sqrt(diff @ diff))
             dots = pts @ line.direction
-            plus = int(np.count_nonzero(dots >= 0.0))
             if dots[i] >= 0.0 > dots[j]:  # rounding may put p_i and p_j on one side
-                fallback = (line, +1, plus) if 2 * plus >= card else (line, -1, card - plus)
+                fallback = _larger_side(line, int(np.count_nonzero(dots >= 0.0)), card)
     if fallback is None:
         raise SearchBudgetExhausted(
             f"no balanced line found in {10 * card * code.dimension} trials"
@@ -502,7 +529,11 @@ def _restrict_project_embed(
 
 
 def composite_spoil_up(code: SphericalCode) -> SphericalCode:
-    """One-step pipeline to parameters [n+1, k, n/(n+1) cos + 1/(n+1)]."""
+    """One-step pipeline to parameters [n+1, k, n/(n+1) cos + 1/(n+1)].
+
+    It is :func:`spoil1_lambda` with lam = n/(n+1), so the result keeps the
+    code's ``min_angle_pair`` and takes its angle from the formula.
+    """
     n = code.dimension
     return spoil1_lambda(code, n / (n + 1))
 

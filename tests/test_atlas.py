@@ -1,3 +1,5 @@
+import gzip
+import hashlib
 import math
 import subprocess
 import sys
@@ -170,3 +172,69 @@ def test_dump_contains_header_and_grid():
 def test_alpha_needs_an_envelope():
     with pytest.raises(ValueError, match="atlas has no envelope yet"):
         atlas_mod.Atlas(bounds.CutoffRegion(0.4)).alpha(0.5)
+
+
+# -- pinned trajectories ------------------------------------------------------
+
+REFERENCE_DIR = Path(__file__).resolve().parent.parent / "bench" / "reference"
+
+
+def read_reference(seed):
+    """Header, points and envelope of a reference dump of the benchmark's
+    panel (phi_c 0.4, budget 500), read as text."""
+    path = REFERENCE_DIR / f"atlas-b500-seed{seed}.txt.gz"
+    lines = gzip.decompress(path.read_bytes()).decode().splitlines()[1:]
+    head = dict(ln.split(" ", 1) for ln in lines[:3])
+    count = int(head["points"])
+    points = [ln.split(" ", 4) for ln in lines[3:3 + count]]
+    grid = np.array([ln.split() for ln in lines[4 + count:]], dtype=float)
+    assert lines[3 + count] == f"envelope {grid.shape[0]}"
+    return head, points, grid
+
+
+def check_invariants(atlas):
+    rates = np.array([p.rate for p in atlas.observed])
+    cards = np.array([p.card for p in atlas.observed])
+    dims = np.array([p.dimension for p in atlas.observed])
+    assert np.all(cards >= 2) and np.all(dims >= 1)
+    assert np.all(np.isfinite([p.cos_phi for p in atlas.observed]))
+    assert np.all(np.abs(rates - np.log2(cards) / dims) <= 1e-12)
+    assert np.all(np.diff(atlas.phi_grid) > 0)
+    assert np.all(np.diff(atlas.envelope) <= 1e-12)
+    assert np.all(atlas.envelope >= -1e-12)
+    assert all(r <= bounds.kl_bound(float(phi)) + 1e-12
+               for phi, r in zip(atlas.phi_grid, atlas.envelope))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 4, 5, 6, 7])
+def test_panel_trajectory_matches_its_reference(seed):
+    # every op keeps its outcome: (n, card, provenance) exactly, and the
+    # numbers to 1e-12, as the benchmark checks them
+    atlas = small_build(budget=500, seed=seed)
+    head, points, grid = read_reference(seed)
+    assert (float(head["phi_c"]), int(head["a_c"])) == (atlas.cutoff.phi_c, atlas.cutoff.a_c)
+    assert [(p.dimension, p.card, p.provenance) for p in atlas.observed] == \
+        [(int(n), int(card), prov) for _r, _c, n, card, prov in points]
+    ref = np.array([(r, c) for r, c, *_ in points], dtype=float)
+    got = np.array([(p.rate, p.cos_phi) for p in atlas.observed])
+    assert np.max(np.abs(got - ref)) <= 1e-12
+    assert grid.shape == (atlas.phi_grid.size, 2)
+    assert np.max(np.abs(np.column_stack([atlas.phi_grid, atlas.envelope]) - grid)) <= 1e-12
+    check_invariants(atlas)
+
+
+def test_panel_seed_without_a_reference_keeps_the_invariants():
+    # seed 3 has no reference dump: the references were made while this
+    # build failed on a kl_bound domain error (ROADMAP item 6)
+    assert not (REFERENCE_DIR / "atlas-b500-seed3.txt.gz").exists()
+    check_invariants(small_build(budget=500, seed=3))
+
+
+def test_default_atlas_trajectory_is_pinned():
+    # budget 10,000, seed 0: the digest pins the (n, card, provenance)
+    # column of all its points
+    atlas = small_build(budget=10_000, seed=0)
+    assert (len(atlas.observed), len(atlas.dominated_anchors)) == (8084, 231)
+    column = "\n".join(f"{p.dimension} {p.card} {p.provenance}" for p in atlas.observed)
+    assert hashlib.sha256(column.encode()).hexdigest() == \
+        "c25ca72f45aecef77a0c555d15b3055c0d6bc1bfb0009adb5b1ea38f8d30ec11"

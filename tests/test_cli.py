@@ -551,6 +551,17 @@ def test_spoil_to_one_point_prints_only_the_error(capsys, tmp_path, text, op_arg
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("lam", ["0", "1e-17", "5e-17", "1e-320"])
+def test_spoil_with_a_lambda_that_collapses_prints_one_error(capsys, tmp_path, lam):
+    # sqrt(1 - lambda) rounds to 1: the error names lambda, not an offset
+    path = tmp_path / "code.txt"
+    path.write_text("dim 2\n1 0\n0 1\n")
+    rc, out, err = run(capsys, "spoil", str(path), "--op", "1", "--lam", lam)
+    assert (rc, out) == (1, "")
+    assert err == (f"error: lambda = {float(lam)!r} maps every point to a single pole: "
+                   "sqrt(1 - lambda) rounds to 1\n")
+
+
 def test_spoil_down_on_a_line_prints_one_error(capsys, tmp_path):
     path = tmp_path / "code.txt"
     path.write_text("dim 1\n1\n-1\n")

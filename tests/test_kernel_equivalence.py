@@ -494,23 +494,57 @@ SPLIT_CODES = {
 
 # -- tests --------------------------------------------------------------------
 
+def check_complement(w, tol=1e-15):
+    """The closed-form basis of ``w`` against the Gram-Schmidt loop: within
+    ``tol`` of it, and orthonormal and orthogonal to ``w`` to 2e-15.
+
+    The products are taken in long double, whose rounding over w.size
+    terms the tolerance also allows: in float64 a sum of 128 squares alone
+    is off by up to 6.7e-15, for the loop's basis too.
+    """
+    new = geometry.orthonormal_complement(w)
+    assert new.shape == (w.size, w.size - 1)
+    assert np.max(np.abs(new - ref_orthonormal_complement(w)), initial=0.0) <= tol
+    q, v = new.astype(np.longdouble), w.astype(np.longdouble)
+    ortho = 2e-15 + w.size * float(np.finfo(np.longdouble).eps)
+    assert np.max(np.abs(q.T @ q - np.eye(w.size - 1)), initial=0.0) <= ortho
+    assert np.max(np.abs(v @ q), initial=0.0) <= ortho
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_orthonormal_complement_matches_gram_schmidt(seed):
     rng = np.random.default_rng(seed)
-    for dim in range(2, 25):
+    for dim in [*range(2, 25), 32, 64, 128]:
         w = rng.standard_normal(dim)
-        w /= np.linalg.norm(w)
-        new = geometry.orthonormal_complement(w)
-        assert new.shape == (dim, dim - 1)
-        assert np.max(np.abs(new - ref_orthonormal_complement(w))) <= 1e-15
+        check_complement(w / np.linalg.norm(w))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 33, 128])
+def test_orthonormal_complement_pivots_on_the_first_largest_coordinate(dim):
+    # ties in |w|: the pivot is the first maximum, as argmax gives it, so
+    # the basis is still the loop's.  Another pivot would move entries by
+    # O(1); near-flat normals of 128 coordinates put the loop's own rounding
+    # at up to 1.2e-15, hence the wider bound.
+    rng = np.random.default_rng(dim)
+    for ties in sorted({2, dim // 2 + 1, dim}):
+        w = rng.uniform(0.1, 0.5, dim)
+        where = rng.choice(dim, ties, replace=False)
+        w[where] = rng.choice([-1.0, 1.0], ties)
+        check_complement(w / np.linalg.norm(w), tol=2e-15)
+    check_complement(np.full(dim, dim ** -0.5), tol=2e-15)
+    check_complement(np.resize([1.0, -1.0], dim) * dim ** -0.5, tol=2e-15)
 
 
 def test_orthonormal_complement_of_an_axis_is_the_other_axes():
-    for dim in (1, 2, 5):
-        w = np.zeros(dim)
-        w[-1] = 1.0
-        assert np.array_equal(geometry.orthonormal_complement(w),
-                              ref_orthonormal_complement(w))
+    # exactly, and without a -0.0, which a 17-digit dump prints as "-0"
+    for dim, sign in itertools.product((1, 2, 5, 24), (1.0, -1.0)):
+        for axis in range(dim):
+            w = np.zeros(dim)
+            w[axis] = sign
+            new = geometry.orthonormal_complement(w)
+            assert np.array_equal(new, np.delete(np.eye(dim), axis, axis=1))
+            assert not np.signbit(new).any()
+            assert np.array_equal(new, ref_orthonormal_complement(w))
 
 
 LAMBDA_CODES = {
@@ -532,6 +566,59 @@ def test_spoil1_lambda_is_spoil1_on_the_last_axis(name):
         ref = spherical.spoil1(code, geometry.Hyperplane(normal, float(np.sqrt(1.0 - lam))))
         assert new.points.tobytes() == ref.points.tobytes()  # the signs of zeros too
         assert spherical.dump_spherical_code(new) == spherical.dump_spherical_code(ref)
+
+
+def near_pair_code():
+    """A random code with a point 3e-7 from another: its minimum angle is
+    below NEAR_ANGLE, where it is measured by the chord."""
+    pts = random_code(11, 12, 5).points
+    moved = pts[4] + 3e-7 * pts[7]
+    return spherical.SphericalCode(np.vstack([pts, moved / np.linalg.norm(moved)]))
+
+
+FORMULA_ANGLE_CODES = {
+    **{f"random-{s}": (lambda s=s: random_code(s, 3 + 11 * s, 2 + 3 * s)) for s in range(4)},
+    "simplex-3": lambda: bounds.simplex_code(3),
+    "simplex-7": lambda: bounds.simplex_code(7),
+    # exact ties: many pairs share the minimum angle
+    "cube-4": lambda: cube_code(4),
+    "parity-6": lambda: cube_code(6, parity=True),
+    "hadamard-16": lambda: hadamard_code(4),
+    "near-pair": near_pair_code,
+    **{name: (lambda pts=pts: spherical.SphericalCode(pts))
+       for name, (_seed, pts) in ATLAS_NEAR_PARALLEL.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMULA_ANGLE_CODES))
+@pytest.mark.parametrize("op", ["lambda", "up"])
+def test_section_embedding_angle_is_a_fresh_scan(name, op):
+    # the formula's cos phi is that of a fresh Gram scan, and the code's
+    # own closest pair attains the scan's maximum
+    code = FORMULA_ANGLE_CODES[name]()
+    for lam in (0.5, 0.7, 1.0) if op == "lambda" else (None,):
+        out = (spherical.spoil1_lambda(code, lam) if op == "lambda"
+               else spherical.composite_spoil_up(code))
+        assert "_min_angle" in vars(out)  # no scan has run
+        assert out.min_angle_pair == code.min_angle_pair
+        fresh, _pair = geometry.min_angle(out.points)
+        assert abs(out.cos_min_angle - math.cos(fresh)) <= 1e-15
+        assert (out.min_angle < geometry.NEAR_ANGLE) == (fresh < geometry.NEAR_ANGLE)
+        i, j = out.min_angle_pair
+        pair = geometry.min_angle(out.points[[i, j]])[0]
+        assert math.cos(pair) >= math.cos(fresh) - 1e-15
+        assert abs(out.min_angle - pair) <= 1e-15 * max(1.0, 1.0 / math.sin(pair))
+
+
+def test_near_pair_angle_is_measured_by_its_chord():
+    code = near_pair_code()
+    assert code.min_angle < geometry.NEAR_ANGLE
+    for lam in (0.5, 1.0, 1e-6):
+        out = spherical.spoil1_lambda(code, lam)
+        i, j = out.min_angle_pair
+        diff = out.points[i] - out.points[j]
+        assert out.min_angle == 2.0 * math.asin(math.sqrt(diff @ diff) / 2.0)
+        assert out.min_angle == pytest.approx(math.sqrt(lam) * code.min_angle, rel=1e-8)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -643,6 +730,23 @@ def test_balanced_candidates_match_scalar_search(name):
         return
     assert len(new) == len(ref)
     assert all(same_split(a, b) for a, b in zip(new, ref))
+
+
+@settings(max_examples=40, deadline=None)
+@given(card=st.integers(3, 32), dim=st.integers(2, 24),
+       radius=st.floats(1e-3, 1.0), seed=st.integers(0, 2 ** 31 - 1))
+def test_find_balanced_line_matches_scalar_search_on_caps(card, dim, radius, seed):
+    # points within an angle atan(radius) of e_1: no point or midpoint
+    # splits a narrow cap, so the search runs on to the random directions
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((card, dim))
+    pts[:, 0] = 0.0
+    pts *= radius * rng.uniform(0.0, 1.0, (card, 1)) / np.linalg.norm(pts, axis=1, keepdims=True)
+    pts[:, 0] = 1.0
+    code = spherical.SphericalCode(pts, normalize=True, check_distinct=False)
+    new = outcome(spherical.find_balanced_line, code, seed)
+    ref = outcome(ref_find_balanced_line, code, seed)
+    assert new is ref if ref is SearchBudgetExhausted else same_split(new, ref)
 
 
 def test_searches_that_the_budget_ends():

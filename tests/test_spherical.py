@@ -604,6 +604,10 @@ def test_load_and_spoil2_admit_the_unit_norm_tolerance():
                  DimensionMismatch, "hyperplane lives in R^2, need R^3", id="spoil1-dims"),
     pytest.param(lambda: spherical.spoil1_lambda(square_code(), 1.5), ValueError,
                  "lambda must be in [0, 1], got 1.5", id="spoil1-lambda"),
+    # sqrt(1 - lambda) rounds to 1, as for lambda = 0: every point maps to the pole
+    *(pytest.param(lambda lam=lam: spherical.spoil1_lambda(square_code(), lam), CollapseError,
+                   f"lambda = {lam!r} maps every point to a single pole",
+                   id=f"spoil1-lambda-{lam!r}") for lam in (0.0, 1e-17, 5e-17, 1e-320)),
     pytest.param(lambda: spherical.spoil2(square_code(), LineThroughOrigin([0.0, 0.0, 1.0])),
                  DimensionMismatch, "line dimension does not match the code",
                  id="spoil2-dims"),
