@@ -24,6 +24,7 @@ from .spherical import SphericalCode, SphericalCodePoint
 MAX_DIMENSION = 24
 MAX_CARD = 512
 GRID_CELLS = 1024  # of the envelope's phi grid on [phi_c, pi/2]
+_OPS = ("up", "lambda", "hemisphere", "project")  # the ops _spoil_once draws from
 
 
 @dataclass
@@ -68,8 +69,7 @@ def default_seeds() -> list[SphericalCode]:
 def _spoil_once(code: SphericalCode, rng: np.random.Generator) -> SphericalCode | None:
     """Apply one randomly chosen spoiling operation; None when its domain
     rules it out.  Any other error propagates."""
-    ops = ["up", "lambda", "hemisphere", "project"]
-    op = ops[int(rng.integers(len(ops)))]
+    op = _OPS[int(rng.integers(len(_OPS)))]
     try:
         if op == "up":
             return spherical.composite_spoil_up(code)
@@ -103,6 +103,7 @@ def atlas_build(seeds: list[SphericalCode] | None, cutoff: CutoffRegion,
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
+    spherical.check_seed(seed)
     if seeds is None:
         seeds = default_seeds()
     seeds = [s for s in seeds if s.card >= 2]
@@ -134,10 +135,11 @@ def atlas_build(seeds: list[SphericalCode] | None, cutoff: CutoffRegion,
 
     # dominated anchors: inside the window and under the small-angle bound
     for pt in atlas.observed:
+        if not cutoff.contains(pt.cos_phi, pt.rate):
+            continue
+        phi = pt.phi
         # the window admits cos phi down to -1e-12, where phi exceeds pi/2
-        phi = min(max(pt.phi, cutoff.phi_c), math.pi / 2)
-        if cutoff.contains(pt.cos_phi, pt.rate) and pt.phi > 0 \
-                and pt.rate <= kl_bound(phi) + 1e-9:
+        if phi > 0 and pt.rate <= kl_bound(min(max(phi, cutoff.phi_c), math.pi / 2)) + 1e-9:
             atlas.dominated_anchors.append(pt)
 
     atlas.phi_grid = np.linspace(cutoff.phi_c, math.pi / 2, GRID_CELLS)
@@ -151,24 +153,77 @@ def envelope(anchors: list[SphericalCodePoint], cutoff: CutoffRegion,
 
     The roof of an anchor is min(line1, line2) of its controlling regions,
     clipped to [0, rate_cap]; with no anchor it is 0.  The max is clipped
-    by H(phi) and made non-increasing in phi.  Anchors are taken a block
-    of at most BLOCK_ENTRIES roof values at a time, in two buffers that
-    every block reuses.
+    by H(phi) and made non-increasing in phi.
+
+    Only the anchors that :func:`_undominated` keeps are taken on the whole
+    grid: the others never set a cell there.  Their lines are ordered only
+    by a margin in the slopes, which rounding cannot undo where the grid
+    is at least 1e-5 left of the corner's cos phi_c; the cells closer to
+    it, or right of it, take every anchor.  The max is the same float.
     """
     x = np.cos(phi_grid)
     h = np.array([kl_bound(float(phi)) for phi in phi_grid])
-    best = np.zeros(phi_grid.size)
-    rows = max(1, geometry.BLOCK_ENTRIES // max(1, phi_grid.size))
-    line1, line2 = np.empty((2, min(rows, len(anchors)), phi_grid.size))
-    for start in range(0, len(anchors), rows):
-        ax, ay = np.array([(p.cos_phi, p.rate) for p in anchors[start:start + rows]]).T[:, :, None]
-        k = ax.shape[0]
-        roof = np.minimum(anchor_line1(ax, ay, x, out=line1[:k]),
-                          anchor_line2(ax, ay, cutoff, x, out=line2[:k]), out=line1[:k])
-        best = np.maximum(best, np.clip(roof, 0.0, cutoff.rate_cap, out=roof).max(axis=0))
+    ax, ay = np.array([(p.cos_phi, p.rate) for p in anchors]).reshape(-1, 2).T
+    front = _undominated(ax, ay, cutoff)
+    best = _max_roof(ax[front], ay[front], cutoff, x)
+    band = x > cutoff.cos_phi_c - 1e-5
+    if band.any() and not front.all():
+        best[band] = np.maximum(best[band], _max_roof(ax[~front], ay[~front], cutoff, x[band]))
     # non-increasing in phi: running max from large phi to small; H
     # decreases, so clipping by it again keeps the envelope non-increasing
     return np.minimum(np.maximum.accumulate(np.minimum(best, h)[::-1])[::-1], h)
+
+
+def _max_roof(ax: np.ndarray, ay: np.ndarray, cutoff: CutoffRegion,
+              x: np.ndarray) -> np.ndarray:
+    """Max over the anchors (ax, ay) of their clipped roofs at the abscissae
+    ``x``, and 0 where that is below 0.  Anchors are taken a block of at
+    most BLOCK_ENTRIES roof values at a time, in two buffers that every
+    block reuses."""
+    best = np.zeros(x.size)
+    rows = max(1, geometry.BLOCK_ENTRIES // max(1, x.size))
+    line1, line2 = np.empty((2, min(rows, ax.size), x.size))
+    for start in range(0, ax.size, rows):
+        bx, by = ax[start:start + rows, None], ay[start:start + rows, None]
+        k = bx.shape[0]
+        roof = np.minimum(anchor_line1(bx, by, x, out=line1[:k]),
+                          anchor_line2(bx, by, cutoff, x, out=line2[:k]), out=line1[:k])
+        best = np.maximum(best, np.clip(roof, 0.0, cutoff.rate_cap, out=roof).max(axis=0))
+    return best
+
+
+def _undominated(ax: np.ndarray, ay: np.ndarray, cutoff: CutoffRegion) -> np.ndarray:
+    """Mask of the anchors that may set a cell of the envelope left of the
+    corner: all but those that another anchor dominates by a margin.
+
+    Every line1 passes through (-1, 0) with slope s1 = ay / (ax + 1), and
+    every line2 through the corner (cos phi_c, a_c) with slope s2.  So for
+    x in (-1, cos phi_c], anchor B's roof is at least A's when s1_B >= s1_A
+    and s2_B <= s2_A.  A is dropped when some B beats it by a relative
+    1e-9 in s1 and by 1e-9 (|s2_A| + |s2_B| + a_c + 1) in s2, so that near
+    ties are kept; the relation is transitive, so every dropped anchor has
+    a kept one above it.  An anchor of rate <= 0 has a roof of 0 and is
+    dropped.  Vertical anchors (whose line2 is vertical) and those of a
+    rate below 1e-300, where the division may leave the normal floats,
+    are kept and beat none.
+    """
+    margin = 1e-9
+    cx, cy = cutoff.cos_phi_c, float(cutoff.a_c)
+    keep = ay > 0.0
+    slanted = np.abs(cx - ax) >= 1e-15  # anchor_line2's test of a vertical line
+    ranked = np.flatnonzero(keep & slanted & (ay > 1e-300))
+    if ranked.size < 2:
+        return keep
+    s1 = ay[ranked] / (ax[ranked] + 1.0)
+    s2 = (cy - ay[ranked]) / (cx - ax[ranked])
+    order = np.argsort(-s1, kind="stable")
+    # for each anchor, the least s2 among those whose s1 beats its own
+    beats = np.searchsorted(-s1[order], -s1 * (1.0 + margin), side="right")
+    low = np.minimum.accumulate(s2[order])[np.maximum(beats - 1, 0)]
+    dominated = (beats > 0) & (low + margin * np.abs(low)
+                               <= s2 - margin * (np.abs(s2) + cy + 1.0))
+    keep[ranked[dominated]] = False
+    return keep
 
 
 def multiplicity_report(

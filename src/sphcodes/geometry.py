@@ -261,7 +261,12 @@ def orthonormal_complement(normal: np.ndarray) -> np.ndarray:
     S_j >= w_p^2 + w_j^2 >= 2 w_j^2 keeps that norm at least sqrt(1/2).
     Entries off T_j are +0.0, so an axis normal gives the other axes exactly.
     """
-    w = as_unit(normal)
+    return _complement(as_unit(normal))
+
+
+def _complement(w: np.ndarray) -> np.ndarray:
+    """:func:`orthonormal_complement` of a direction that has passed
+    :func:`as_unit`, without checking it again."""
     m = w.size
     p = int(np.abs(w).argmax())
     k = np.arange(m - 1)
@@ -293,12 +298,22 @@ def project_points(points, line: LineThroughOrigin) -> tuple[np.ndarray, np.ndar
         raise DimensionMismatch(f"points of shape {x.shape} != line dimension {d.size}")
     if (np.abs(np.sqrt(np.vecdot(x, x)) - 1.0) > EPS_NORM).any():
         raise ValueError(f"point norms are not within {EPS_NORM} of 1")
+    images, nrms, comps = _projected_rows(x, d)
+    return images / nrms[:, None], comps
+
+
+def _projected_rows(x: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The core of :func:`project_points` for rows within EPS_NORM of the
+    unit norm and a unit direction ``d``, neither checked again:
+    ``(images, residual_norms, axis_components)``, where row i of ``images``
+    is the residual of x_i off the line in the complement basis, not yet
+    divided by its norm.  Raises PointOnAxis as project_points does."""
     comps = x @ d
     resid = x - comps[:, None] * d
     nrms = np.sqrt(np.vecdot(resid, resid))
-    if (nrms <= EPS_UNIT).any():
+    if nrms.min() <= EPS_UNIT:
         raise PointOnAxis("point lies on the projection axis")
-    return (resid @ orthonormal_complement(d)) / nrms[:, None], comps
+    return resid @ _complement(d), nrms, comps
 
 
 def project_and_normalize(x, line: LineThroughOrigin) -> tuple[np.ndarray, float]:

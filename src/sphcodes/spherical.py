@@ -77,6 +77,25 @@ class SphericalCode:
         if check_distinct and self.card >= 2 and self.min_angle < EPS_ANGLE:
             raise ValueError("points are not pairwise distinct beyond EPS_ANGLE")
 
+    @classmethod
+    def _derived(cls, pts: np.ndarray, min_angle=None) -> SphericalCode:
+        """The code of rows that a spoiling op derived from a validated code:
+        the second half of ``__init__``, which takes ``pts`` as they are.
+
+        The op's own arithmetic keeps what the checks test: its rows are
+        finite, within EPS_NORM of the unit norm (each was divided by its
+        own norm, or is a row of the code), and none is zero.  Distinctness
+        is not checked, as no op result checks it.  ``min_angle``, when
+        given, is the ``(angle, pair)`` that a fresh :func:`geometry.min_angle`
+        of ``pts`` returns, which the op knows without a scan.
+        """
+        code = cls.__new__(cls)
+        code._points = pts
+        pts.setflags(write=False)
+        if min_angle is not None:
+            code._min_angle = min_angle  # the value of the cached property
+        return code
+
     @property
     def points(self) -> np.ndarray:
         return self._points
@@ -103,11 +122,13 @@ class SphericalCode:
 
     @property
     def cos_min_angle(self) -> float:
-        return float(np.cos(self._min_angle[0]))
+        return math.cos(self._min_angle[0])
 
     @property
     def rate(self) -> float:
-        return float(np.log2(self.card)) / self.dimension
+        # np.log2 of a float, which skips the int's array conversion and
+        # rounds as np.log2 of the int does; math.log2 rounds differently
+        return float(np.log2(float(self.card))) / self.dimension
 
     def code_point(self, provenance: str = "") -> SphericalCodePoint:
         return SphericalCodePoint(
@@ -165,9 +186,9 @@ def spoil1_lambda(code: SphericalCode, lam: float) -> SphericalCode:
     This is :func:`spoil1` on the hyperplane with normal e_{n+1} and offset
     h = sqrt(1 - lam), written in closed form: the complement of e_{n+1}
     is [I | 0], so each point x maps to [rho * x, h] with
-    rho = sqrt(1 - h^2), then the rows are normalized.  Adding 0.0 to
-    rho * x turns -0.0 into +0.0 as spoil1's matrix product does, so the
-    two agree bit for bit.  lam = 1 is the equatorial embedding; a lam so
+    rho = sqrt(1 - h^2), then the rows are normalized.  Adding 0.0 to the
+    normalized rows turns -0.0 into +0.0 as spoil1's matrix product does,
+    so the two agree bit for bit.  lam = 1 is the equatorial embedding; a lam so
     small that h rounds to 1, lam = 0 among them, would collapse the whole
     code to a pole and is rejected.
 
@@ -186,18 +207,18 @@ def spoil1_lambda(code: SphericalCode, lam: float) -> SphericalCode:
                             "sqrt(1 - lambda) rounds to 1")
     card, n = code.points.shape
     new_pts = np.empty((card, n + 1))
-    np.multiply(code.points, geometry.section_radius(h), out=new_pts[:, :n])
-    new_pts[:, :n] += 0.0
+    np.multiply(code.points, math.sqrt(1.0 - h * h), out=new_pts[:, :n])
     new_pts[:, n] = h
-    out = SphericalCode(new_pts, normalize=True, check_distinct=False)
-    if card >= 2:
-        i, j = code.min_angle_pair
-        phi = math.acos(geometry.clamp_cos(lam * code.cos_min_angle + (1.0 - lam)))
-        if phi < geometry.NEAR_ANGLE:
-            diff = out.points[i] - out.points[j]
-            phi = 2.0 * math.asin(math.sqrt(diff.dot(diff)) / 2.0)
-        out._min_angle = (phi, (i, j))  # the value of the cached property
-    return out
+    new_pts /= np.sqrt(np.add.reduce(new_pts * new_pts, axis=1))[:, None]
+    new_pts += 0.0
+    if card < 2:
+        return SphericalCode._derived(new_pts)
+    i, j = code.min_angle_pair
+    phi = math.acos(geometry.clamp_cos(lam * code.cos_min_angle + (1.0 - lam)))
+    if phi < geometry.NEAR_ANGLE:
+        diff = new_pts[i] - new_pts[j]
+        phi = 2.0 * math.asin(math.sqrt(diff.dot(diff)) / 2.0)
+    return SphericalCode._derived(new_pts, (phi, (i, j)))
 
 
 def spoil2(code: SphericalCode, line: LineThroughOrigin) -> tuple[SphericalCode, float]:
@@ -206,14 +227,21 @@ def spoil2(code: SphericalCode, line: LineThroughOrigin) -> tuple[SphericalCode,
     Returns ``(new_code, xi)`` where xi = dist(X, line) is the smallest
     projection norm over the code.  Points projecting onto coinciding rays
     are merged with a warning.
+
+    The code's rows and the line's direction have passed their checks, so
+    the projection skips them, and each image row is divided once, by its
+    own norm: a 1-dimensional image is exactly +-1.
     """
     if line.dimension != code.dimension:
         raise DimensionMismatch("line dimension does not match the code")
     if code.dimension < 2:
         raise DegenerateCode("cannot project a code on S^0")
-    pts, comps = geometry.project_points(code.points, line)
-    xi = min(1.0, float(np.sqrt(np.maximum(0.0, 1.0 - comps * comps)).min()))
-    out = SphericalCode(pts, normalize=True, check_distinct=False)
+    images, _, comps = geometry._projected_rows(code.points, line.direction)
+    # sqrt(max(0, 1 - c^2)) is non-increasing in c^2, so its least value
+    # over the rows is its value at the largest c^2, rounding included
+    xi = min(1.0, math.sqrt(max(0.0, 1.0 - float((comps * comps).max()))))
+    images /= np.sqrt(np.add.reduce(images * images, axis=1))[:, None]
+    out = SphericalCode._derived(images)
     if out.card >= 2 and out.min_angle >= EPS_ANGLE:  # the common case: one scan
         return out, xi
     merged = merge_close_points(out.points)
@@ -224,7 +252,7 @@ def spoil2(code: SphericalCode, line: LineThroughOrigin) -> tuple[SphericalCode,
         )
     if merged.shape[0] < 2:
         raise DegenerateCode("all projections coincide")
-    return SphericalCode(merged, check_distinct=False), xi
+    return SphericalCode._derived(merged), xi
 
 
 def xi_to_u(xi: float) -> float:
@@ -239,6 +267,12 @@ def spoil3(code: SphericalCode, line: LineThroughOrigin, sign: int) -> Spherical
 
     ``sign=+1`` keeps points with <x, direction> >= 0, ``sign=-1`` keeps
     the strictly negative ones.  The minimum angle never decreases.
+
+    The kept rows keep their order.  When the code's closest pair is known
+    and both its points are kept, it is the closest pair of the result:
+    the largest Gram entry of a subset of pairs that holds it is its own,
+    and no pair before it in row-major order has that entry.  The result
+    then takes the code's angle and the pair's new indices, with no scan.
     """
     if line.dimension != code.dimension:
         raise DimensionMismatch("line dimension does not match the code")
@@ -248,12 +282,20 @@ def spoil3(code: SphericalCode, line: LineThroughOrigin, sign: int) -> Spherical
     mask = dots >= 0.0 if sign > 0 else dots < 0.0
     if not mask.any():
         raise DegenerateCode("selected hemisphere contains no point")
-    return SphericalCode(code.points[mask], check_distinct=False)
+    known = vars(code).get("_min_angle")  # set once min_angle was asked for
+    if known is not None and mask[known[1][0]] and mask[known[1][1]]:
+        phi, pair = known
+        known = (phi, tuple(int(np.count_nonzero(mask[:k])) for k in pair))
+    else:
+        known = None
+    return SphericalCode._derived(code.points[mask], known)
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
     """The rows of ``v`` whose norm exceeds EPS_UNIT, each divided by its norm."""
     nrm = np.sqrt(np.vecdot(v, v))
+    if nrm.min() > EPS_UNIT:  # the common case: no row to drop
+        return v / nrm[:, None]
     keep = nrm > EPS_UNIT
     return v[keep] / nrm[keep, None]
 
@@ -269,74 +311,26 @@ def _midpoint_blocks(pts: np.ndarray, rows: int):
         yield _unit_rows(pts[ii + i] + pts[jj])
 
 
-def _random_blocks(n: int, seed: int, rows: int):
-    """Unit directions from ``default_rng(seed)``, as one at a time would
-    draw them, in blocks of 16 draws that double up to ``rows``: the first
-    few directions usually split, so the first blocks are kept small."""
-    rng = np.random.default_rng(seed)
-    size = min(16, rows)
-    while True:
-        yield _unit_rows(rng.standard_normal((size, n)))
-        size = min(2 * size, rows)
-
-
-def _scored_rows(blocks, pts: np.ndarray, rows: int, left: int):
-    """``(dirs, sides, closest)`` for the first ``left`` rows of ``blocks``,
-    at most ``rows`` at a time: ``sides = dirs @ pts.T >= 0`` and
-    ``closest`` is the distance of each row's nearest point from its
-    separating hyperplane.  Rows whose nearest point is within a factor 2
-    of EPS_UNIT are scored again as ``pts @ dir``, so that ``sides`` and
-    ``closest`` are what scoring each direction on its own gives.  The
-    distances are taken in place, so that a block allocates one float
-    array of at most BLOCK_ENTRIES entries.
+def _side_scores(dirs: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(sides, closest, low)`` of the candidate rows ``dirs``: ``sides =
+    dirs @ pts.T >= 0``, ``closest`` the distance of each row's nearest
+    point from its separating hyperplane, and ``low`` the least of those.
+    Rows whose nearest point is within a factor 2 of EPS_UNIT are scored
+    again as ``pts @ dir``, so that ``sides`` and ``closest`` are what
+    scoring each direction on its own gives.  The distances are taken in
+    place, so that a block allocates one float array of at most
+    BLOCK_ENTRIES entries.
     """
-    for block in blocks:
-        for start in range(0, block.shape[0], rows):
-            dirs = block[start:start + rows][:left]
-            dots = dirs @ pts.T
-            sides = dots >= 0.0
-            closest = np.minimum.reduce(np.abs(dots, out=dots), axis=1)
-            for r in ((closest > EPS_UNIT / 2) & (closest <= 2 * EPS_UNIT)).nonzero()[0]:
-                dot = pts @ dirs[r]
-                sides[r], closest[r] = dot >= 0.0, np.min(np.abs(dot))
-            yield dirs, sides, closest
-            left -= dirs.shape[0]
-            if left <= 0:
-                return
-
-
-def _scored_candidates(code: SphericalCode, seed: int):
-    """The first 10 * card * n candidate directions, scored a block at a time.
-
-    The candidates are every code point as it is, then the normalized pair
-    midpoints of :func:`_midpoint_blocks`, then the random directions of
-    :func:`_random_blocks`, scored as :func:`_scored_rows` scores them.
-
-    The point rows score the Gram matrix.  When all its entries exceed
-    4 * EPS_UNIT, every point and every midpoint has all points on its +
-    side, farther than 2 * EPS_UNIT: a midpoint's dot with a point is the
-    sum of two Gram entries over a norm of at most 2, and the factor 2 to
-    spare covers rounding.  Such a row is clean, is not scored again,
-    splits nothing and sets no fallback.  The midpoints, all
-    card * (card - 1) / 2 of them since each has squared norm
-    2 + 2 * cos > 2, are then counted against the budget without being
-    scored.
-    """
-    pts, card = code.points, code.card
-    left = 10 * card * code.dimension
-    rows = max(1, min(geometry.BLOCK_ENTRIES // card, left))
-    one_sided = True
-    for dirs, sides, closest in _scored_rows([pts], pts, rows, left):
-        one_sided = one_sided and bool(sides.all()) and closest.min() > 4 * EPS_UNIT
-        yield dirs, sides, closest
-    left -= card
-    if one_sided:
-        midpoints, left = (), left - card * (card - 1) // 2
-    else:
-        midpoints = _midpoint_blocks(pts, rows)
-    if left > 0:
-        blocks = itertools.chain(midpoints, _random_blocks(code.dimension, seed, rows))
-        yield from _scored_rows(blocks, pts, rows, left)
+    dots = dirs @ pts.T
+    sides = dots >= 0.0
+    closest = np.minimum.reduce(np.abs(dots, out=dots), axis=1)
+    low = closest.min()
+    if low <= 2 * EPS_UNIT:
+        for r in ((closest > EPS_UNIT / 2) & (closest <= 2 * EPS_UNIT)).nonzero()[0]:
+            dot = pts @ dirs[r]
+            sides[r], closest[r] = dot >= 0.0, np.min(np.abs(dot))
+        low = closest.min()
+    return sides, closest, float(low)
 
 
 def _larger_side(line: LineThroughOrigin, plus: int, card: int) -> tuple:
@@ -349,45 +343,90 @@ def _larger_side(line: LineThroughOrigin, plus: int, card: int) -> tuple:
 def _balanced_splits(code: SphericalCode, seed: int):
     """Admissible balanced splits ``(line, sign, count)``, card/2 <= count < card.
 
-    Candidates are scored deterministically, a block at a time: every code
-    point as direction, then normalized midpoints of point pairs, then
-    seeded pseudorandom directions, with a budget of 10 * card * n trials.
-    Splits are yielded in that order, +1 before -1, each hemisphere once,
-    skipping candidates that leave a point within EPS_UNIT of the separating
-    hyperplane; the search stops after the candidate that brings the count
-    to 16.  If the budget holds no such split, the first admissible split of
-    a skipped candidate is yielded alone.  If no candidate splits at all,
-    the line along p_i - p_j of the closest pair (i, j), which puts p_i on
-    its + side, splits by its fuller side: a near-parallel code leaves every
-    point and midpoint one-sided, and a random direction splits its closest
-    pair only with a probability of their angle over pi.
+    Candidates are scored deterministically, a block of at most
+    BLOCK_ENTRIES // card rows at a time (:func:`_side_scores`), with a
+    budget of 10 * card * n trials: every code point as it is, then the
+    normalized pair midpoints of :func:`_midpoint_blocks`, then unit
+    directions from ``default_rng(seed)``, as one at a time would draw them,
+    in blocks of 16 draws that double up to the block size (the first few
+    directions usually split, so the first blocks are kept small).
+
+    The point rows score the Gram matrix.  When all its entries exceed
+    4 * EPS_UNIT, every point and every midpoint has all points on its +
+    side, farther than 2 * EPS_UNIT: a midpoint's dot with a point is the
+    sum of two Gram entries over a norm of at most 2, and the factor 2 to
+    spare covers rounding.  Such a row splits nothing and sets no
+    fallback.  The midpoints, all card * (card - 1) / 2 of them since each
+    has squared norm 2 + 2 * cos > 2, are then counted against the budget
+    without being scored.
+
+    Splits are yielded in candidate order, +1 before -1, each hemisphere
+    once, skipping candidates that leave a point within EPS_UNIT of the
+    separating hyperplane; the search stops after the candidate that
+    brings the count to 16.  If the budget holds no such split, the first
+    admissible split of a skipped candidate is yielded alone.  If no
+    candidate splits at all, the line along p_i - p_j of the closest pair
+    (i, j), which puts p_i on its + side, splits by its fuller side: a
+    near-parallel code leaves every point and midpoint one-sided, and a
+    random direction splits its closest pair only with a probability of
+    their angle over pi.
     """
     if code.card < 2:
         raise DegenerateCode("balanced split needs at least two points")
-    pts, card = code.points, code.card
-    fallback, seen = None, set()
-    for dirs, sides, closest in _scored_candidates(code, seed):
-        plus = sides.sum(axis=1)
-        # a row has an admissible side iff 0 < plus < card: one pass finds
-        # the clean ones, and only they are turned into lines
-        for r in ((closest > EPS_UNIT) & (plus > 0) & (plus < card)).nonzero()[0]:
-            line, side, p = None, sides[r], int(plus[r])
-            for sign, mask, count in ((+1, side, p), (-1, ~side, card - p)):
-                if 2 * count >= card and mask.tobytes() not in seen:
-                    seen.add(mask.tobytes())
-                    line = line or LineThroughOrigin(dirs[r])
-                    yield line, sign, count
-            if len(seen) >= 16:
-                return
-        if seen or fallback is not None:
-            continue
-        # the side of a point next to the plane is the one that scoring the
-        # direction on its own gives
-        for r in (closest <= EPS_UNIT).nonzero()[0]:
-            count = int(np.count_nonzero(pts @ dirs[r] >= 0.0))
-            if 0 < count < card:
-                fallback = _larger_side(LineThroughOrigin(dirs[r]), count, card)
+    pts, card, n = code.points, code.card, code.dimension
+    left = 10 * card * n  # the candidates that the budget still allows
+    rows = max(1, min(geometry.BLOCK_ENTRIES // card, left))
+    fallback, seen, one_sided = None, set(), True
+    block, midpoints, rng, size = pts, None, None, min(16, rows)
+    while True:
+        for start in range(0, block.shape[0], rows):
+            dirs = block[start:start + rows][:left]
+            sides, closest, low = _side_scores(dirs, pts)
+            left -= dirs.shape[0]
+            # a point row with every point on its + side splits nothing;
+            # one_sided is read once the point rows are scored
+            every = block is pts and bool(sides.all())
+            one_sided = one_sided and every and low > 4 * EPS_UNIT
+            if not every:
+                plus = sides.sum(axis=1)
+                # a row has an admissible side iff 0 < plus < card: one pass
+                # finds the clean ones, and only they are turned into lines
+                split = (plus > 0) & (plus < card)
+                if low <= EPS_UNIT:
+                    split &= closest > EPS_UNIT
+                for r in split.nonzero()[0]:
+                    line, side, p = None, sides[r], int(plus[r])
+                    for sign, mask, count in ((+1, side, p), (-1, ~side, card - p)):
+                        if 2 * count >= card and mask.tobytes() not in seen:
+                            seen.add(mask.tobytes())
+                            line = line or LineThroughOrigin(dirs[r])
+                            yield line, sign, count
+                    if len(seen) >= 16:
+                        return
+            if low <= EPS_UNIT and not seen and fallback is None:
+                # the side of a point next to the plane is the one that
+                # scoring the direction on its own gives
+                for r in (closest <= EPS_UNIT).nonzero()[0]:
+                    count = int(np.count_nonzero(pts @ dirs[r] >= 0.0))
+                    if 0 < count < card:
+                        fallback = _larger_side(LineThroughOrigin(dirs[r]), count, card)
+                        break
+            if left <= 0:
                 break
+        if block is pts:
+            if one_sided:
+                left -= card * (card - 1) // 2
+            else:
+                midpoints = _midpoint_blocks(pts, rows)
+        if left <= 0:
+            break
+        block = None if midpoints is None else next(midpoints, None)
+        if block is None:
+            midpoints = None
+            if rng is None:
+                rng = np.random.default_rng(seed)
+            block = _unit_rows(rng.standard_normal((size, n)))
+            size = min(2 * size, rows)
     if seen:
         return
     if fallback is None:
@@ -405,6 +444,16 @@ def _balanced_splits(code: SphericalCode, seed: int):
     yield fallback
 
 
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless ``seed`` is >= 0, as ``default_rng`` needs.
+
+    Every public function that takes a seed checks it on entry, so that a
+    negative seed is an error whether or not a draw would be made.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def find_balanced_line(
     code: SphericalCode, seed: int = 0
 ) -> tuple[LineThroughOrigin, int, int]:
@@ -412,6 +461,7 @@ def find_balanced_line(
 
     The first split of :func:`_balanced_splits`.  Returns ``(line, sign, count)``.
     """
+    check_seed(seed)
     return next(_balanced_splits(code, seed))
 
 
@@ -544,7 +594,9 @@ def composite_spoil_down(code: SphericalCode, phi_c: float, *, seed: int = 0) ->
     ``a_c`` is floor(H(phi_c)) for 0 < phi_c <= pi/2; the code must have
     phi > phi_c, k >= a_c and n >= 3 (it is projected twice), and enough
     room for the final lambda solve to land in [0, 1] (checked at runtime).
+    ``seed`` must be >= 0.
     """
+    check_seed(seed)
     if not 0.0 < phi_c <= math.pi / 2:
         raise ValueError(f"phi_c must be in (0, pi/2], got {phi_c}")
     n = code.dimension

@@ -36,6 +36,11 @@ def test_budget_must_be_positive():
         atlas_mod.atlas_build(None, bounds.CutoffRegion(0.4), 0)
 
 
+def test_seed_must_be_non_negative():
+    with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
+        atlas_mod.atlas_build(None, bounds.CutoffRegion(0.4), 5, seed=-1)
+
+
 def test_all_seeds_degenerate_rejected():
     cutoff = bounds.CutoffRegion(0.4)
     single = bounds.simplex_code(2)

@@ -321,6 +321,7 @@ def test_malformed_input_file_gives_one_error_line(capsys, tmp_path, command, da
     (["figures", "--which", "fig1", "--n-range", "0..2"], "--n-range must be >= 1, got 0"),
     (["figures", "--which", "fig3", "--m", "3..1"], "empty --m range"),
     (["figures", "--which", "fig3", "--n=-1", "--m", "1"], "n must be >= 1"),
+    (["atlas", "--budget", "5", "--seed", "-1"], "seed must be >= 0, got -1"),
 ])
 def test_domain_errors_name_their_input(capsys, argv, message):
     rc, out, err = run(capsys, *argv)
@@ -346,6 +347,23 @@ def test_dim_with_a_lattice_file_is_an_error(capsys, tmp_path):
     path.write_text("dim 2\n1 0\n0 1\n")
     rc, out, err = run(capsys, "theta", "--lattice-file", str(path), "--dim", "3")
     assert (rc, out, err) == (1, "", "error: --dim applies only to Z\n")
+
+
+# a negative seed, on a code that a point row splits (no draw is made) and on
+# one that only a drawn direction splits
+SQUARE = "dim 2\n1 0\n-1 0\n0 1\n0 -1\n"
+CROSS5 = "dim 3\n1 0 0\n-1 0 0\n0 1 0\n0 -1 0\n0 0 1\n"
+
+
+@pytest.mark.parametrize("text", [SQUARE, CROSS5], ids=["square", "cross5"])
+@pytest.mark.parametrize("op", ["2", "3", "down"])
+def test_a_negative_seed_is_an_error(capsys, tmp_path, text, op):
+    code, out_path = tmp_path / "code.txt", tmp_path / "out.txt"
+    code.write_text(text)
+    rc, out, err = run(capsys, "spoil", str(code), "--op", op, "--seed", "-1",
+                       "--out", str(out_path))
+    assert (rc, out, err) == (1, "", "error: seed must be >= 0, got -1\n")
+    assert not out_path.exists()
 
 
 # a mode option given to a mode that does not read it, or an empty value,

@@ -621,6 +621,80 @@ def test_near_pair_angle_is_measured_by_its_chord():
         assert out.min_angle == pytest.approx(math.sqrt(lam) * code.min_angle, rel=1e-8)
 
 
+# start codes of the derived-code property; on the cube-embedded ones every
+# Gram entry is exact, so that equal angles tie exactly in any subset
+EXACT_CODES = {
+    **{f"cube-{n}": (lambda n=n: cube_code(n)) for n in (3, 4, 5)},
+    **{f"parity-{n}": (lambda n=n: cube_code(n, parity=True)) for n in (3, 4, 5, 6)},
+    "hadamard-4": lambda: hadamard_code(2),
+    "hadamard-16": lambda: hadamard_code(4),
+}
+DERIVED_START = {
+    **EXACT_CODES,
+    **{f"random-{s}": (lambda s=s: random_code(s, 3 + 7 * s, 2 + 2 * s)) for s in range(4)},
+    **{f"simplex-{n}": (lambda n=n: bounds.simplex_code(n)) for n in (2, 4, 7)},
+    **{name: (lambda pts=pts: spherical.SphericalCode(pts))
+       for name, (_seed, pts) in ATLAS_NEAR_PARALLEL.items()},
+}
+
+
+def derived_op(code, op, seed, lam):
+    """One atlas-like op on ``code``: the result, or None outside its domain."""
+    rng = np.random.default_rng(seed)
+    try:
+        if op == "up":
+            return spherical.composite_spoil_up(code)
+        if op == "lambda":
+            return spherical.spoil1_lambda(code, lam)
+        if op == "hemisphere":
+            line, sign, _ = spherical.find_balanced_line(code, seed=seed)
+        else:  # a hemisphere or a projection off a random line
+            v = rng.standard_normal(code.dimension)
+            line, sign = LineThroughOrigin(v / np.linalg.norm(v)), 1 - 2 * (seed % 2)
+        if op == "project":
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                return spherical.spoil2(code, line)[0]
+        return spherical.spoil3(code, line, sign)
+    except (DegenerateCode, PointOnAxis, SearchBudgetExhausted):
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(DERIVED_START)),
+       ops=st.lists(st.tuples(st.sampled_from(["up", "lambda", "hemisphere", "cut", "project"]),
+                              st.integers(0, 2 ** 31 - 1), st.floats(0.5, 1.0)),
+                    min_size=1, max_size=4))
+def test_derived_codes_pass_the_checks_they_skip(name, ops):
+    # an op result skips the public checks its parent passed, and may take
+    # its (angle, pair) from the parent; a fresh check must agree with both
+    code = DERIVED_START[name]()
+    exact = name in EXACT_CODES  # while only hemispheres of an exact code are taken
+    for op, seed, lam in ops:
+        if code.card < 2:
+            break
+        code.min_angle  # as the atlas records every code before spoiling it
+        out = derived_op(code, op, seed, lam)
+        if out is None:
+            continue
+        exact = exact and op in ("hemisphere", "cut")
+        checked = spherical.SphericalCode(out.points, check_distinct=False)
+        assert checked.points.tobytes() == out.points.tobytes()
+        assert np.max(np.abs(np.linalg.norm(out.points, axis=1) - 1.0)) <= 1e-15
+        known = vars(out).get("_min_angle")
+        if known is not None:
+            fresh, fresh_pair = geometry.min_angle(out.points)
+            (angle, (i, j)) = known
+            assert 0 <= i < j < out.card
+            assert abs(math.cos(angle) - math.cos(fresh)) <= 1e-15
+            assert (angle < geometry.NEAR_ANGLE) == (fresh < geometry.NEAR_ANGLE)
+            pair = geometry.min_angle(out.points[[i, j]])[0]
+            assert abs(pair - fresh) <= 1e-15 * max(1.0, 1.0 / math.sin(fresh))
+            if exact:
+                assert (i, j) == fresh_pair
+        code = out
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_spoil2_gram_and_xi(seed):
     rng = np.random.default_rng(seed)
@@ -771,14 +845,13 @@ def test_one_sided_code_scores_no_midpoint(monkeypatch):
     # 120 midpoints and then a whole block of drawn directions takes 2,720
     code = SPLIT_CODES["hadamard-16-lambda"]()
     scored = []
-    blocks = spherical._scored_candidates
+    score = spherical._side_scores
 
-    def counted(code, seed):
-        for scores in blocks(code, seed):
-            scored.append(scores[0].shape[0])
-            yield scores
+    def counted(dirs, pts):
+        scored.append(dirs.shape[0])
+        return score(dirs, pts)
 
-    monkeypatch.setattr(spherical, "_scored_candidates", counted)
+    monkeypatch.setattr(spherical, "_side_scores", counted)
     spherical.find_balanced_line(code)
     assert sum(scored) <= 64
 
@@ -980,6 +1053,72 @@ def test_envelope_matches_grid_anchor_loop_on_placed_anchors(monkeypatch, phi_c)
         atlas = atlas_mod.Atlas(cutoff=cutoff, dominated_anchors=anchors, phi_grid=grid)
         env = atlas_mod.envelope(anchors, cutoff, grid)
         assert np.max(np.abs(env - ref_envelope(atlas))) <= 1e-12
+
+
+def ref_envelope_all_anchors(anchors, cutoff, phi_grid):
+    """The envelope as one grid pass over every anchor, a block of at most
+    BLOCK_ENTRIES roof values at a time, before any anchor is dropped."""
+    x = np.cos(phi_grid)
+    h = np.array([bounds.kl_bound(float(phi)) for phi in phi_grid])
+    best = np.zeros(phi_grid.size)
+    rows = max(1, geometry.BLOCK_ENTRIES // max(1, phi_grid.size))
+    for start in range(0, len(anchors), rows):
+        block = anchors[start:start + rows]
+        ax, ay = np.array([(p.cos_phi, p.rate) for p in block]).T[:, :, None]
+        roof = np.minimum(bounds.anchor_line1(ax, ay, x), bounds.anchor_line2(ax, ay, cutoff, x))
+        best = np.maximum(best, np.clip(roof, 0.0, cutoff.rate_cap).max(axis=0))
+    return np.minimum(np.maximum.accumulate(np.minimum(best, h)[::-1])[::-1], h)
+
+
+@st.composite
+def window_anchors(draw):
+    """``(cutoff, anchors)``: points of the cutoff window, among them its
+    edges and corners, vertical anchors (within 1e-15 of the cos phi_c
+    edge), duplicates and near ties an ulp or a relative 1e-9 apart."""
+    cutoff = bounds.CutoffRegion(draw(st.floats(0.05, 1.5)))
+    cx, cap, eps = cutoff.cos_phi_c, cutoff.rate_cap, geometry.EPS_REGION
+    xs = st.one_of(st.floats(-eps, cx + eps), st.sampled_from([-eps, 0.0, cx, cx + eps]),
+                   st.floats(-9e-16, 9e-16).map(lambda d: cx + d))
+    # a rate of -0.0 is no log2(card)/n; it would leave a -0.0 cell
+    ys = st.one_of(st.floats(-eps, cap + eps).map(lambda y: y + 0.0),
+                   st.sampled_from([-eps, 0.0, float(cutoff.a_c), cap, cap + eps]))
+    points = draw(st.lists(st.tuples(xs, ys), max_size=40))
+    for x, y in draw(st.lists(st.sampled_from(points), max_size=8)) if points else []:
+        nudge = draw(st.sampled_from([0.0, 1e-9, -1e-9, 1e-15]))
+        points.append((x, math.nextafter(y, math.inf) if nudge == 1e-15 else y * (1 + nudge)))
+    points = [(x, y) for x, y in points if cutoff.contains(x, y)]
+    draw(st.randoms()).shuffle(points)
+    return cutoff, [spherical.SphericalCodePoint(rate=y, cos_phi=x, dimension=2, card=2)
+                    for x, y in points]
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=window_anchors(), cells=st.integers(2, 300), near=st.integers(0, 40),
+       entries=st.sampled_from([0, 1, 3]))
+def test_envelope_over_undominated_anchors_is_the_all_anchors_loop(case, cells, near, entries):
+    cutoff, anchors = case
+    # cells up to 1e-4 right of phi_c, spaced geometrically from 1e-13 on,
+    # reach the corner where the slopes alone do not order the rounded roofs
+    grid = np.concatenate([cutoff.phi_c + np.geomspace(1e-13, 1e-4, near),
+                           np.linspace(cutoff.phi_c + 2e-4 * (near > 0), math.pi / 2, cells)])
+    saved = geometry.BLOCK_ENTRIES
+    try:  # blocks of one or three anchors, or of BLOCK_ENTRIES roof values
+        geometry.BLOCK_ENTRIES = entries * cells or saved
+        got = atlas_mod.envelope(anchors, cutoff, grid)
+        want = ref_envelope_all_anchors(anchors, cutoff, grid)
+    finally:
+        geometry.BLOCK_ENTRIES = saved
+    assert got.tobytes() == want.tobytes()
+
+
+def test_panel_envelopes_are_the_all_anchors_loop():
+    # the pruned envelope of every panel build is the parent's grid pass
+    # over all its anchors, to the bit
+    for seed in range(8):
+        built = atlas_mod.atlas_build(None, bounds.CutoffRegion(0.4), 500, seed=seed)
+        assert len(built.dominated_anchors) > 2
+        want = ref_envelope_all_anchors(built.dominated_anchors, built.cutoff, built.phi_grid)
+        assert built.envelope.tobytes() == want.tobytes()
 
 
 # normal floats only: at a subnormal anchor the reference's origin areas

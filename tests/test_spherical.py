@@ -314,7 +314,7 @@ def test_two_point_code_splits_one_one():
 
 def test_rows_next_to_a_point_are_scored_on_their_own():
     # directions whose nearest point lies at a dot of about 1e-12, inside
-    # the band that _scored_rows scores again as pts @ d
+    # the band that _side_scores scores again as pts @ d
     rng = np.random.default_rng(3)
     pts = spherical.SphericalCode(rng.standard_normal((8, 4)), normalize=True).points
     near = []
@@ -324,11 +324,10 @@ def test_rows_next_to_a_point_are_scored_on_their_own():
         v -= (v @ p) * p
         near.append(v / np.linalg.norm(v) + offset * p)
     dirs = np.vstack([spherical._unit_rows(rng.standard_normal((5, pts.shape[1]))), near])
-    scored = list(spherical._scored_rows([dirs], pts, 4, dirs.shape[0]))
-    got = np.vstack([d for d, _s, _c in scored])
-    sides = np.vstack([s for _d, s, _c in scored])
-    closest = np.concatenate([c for _d, _s, c in scored])
-    assert np.array_equal(got, dirs)
+    scored = [spherical._side_scores(dirs[k:k + 4], pts) for k in range(0, dirs.shape[0], 4)]
+    sides = np.vstack([s for s, _c, _low in scored])
+    closest = np.concatenate([c for _s, c, _low in scored])
+    assert [low for _s, c, low in scored] == [c.min() for _s, c, _low in scored]
     band = (closest > geometry.EPS_UNIT / 2) & (closest <= 2 * geometry.EPS_UNIT)
     assert band[5:].all() and not band[:5].any()
     for d, side, dist in zip(dirs[5:], sides[5:], closest[5:]):
@@ -628,6 +627,11 @@ def test_load_and_spoil2_admit_the_unit_norm_tolerance():
     pytest.param(lambda: spherical.find_balanced_line(spherical.SphericalCode([[1.0, 0.0]])),
                  DegenerateCode, "balanced split needs at least two points",
                  id="balanced-line-one-point"),
+    # a negative seed is an error whether or not the search would draw
+    pytest.param(lambda: spherical.find_balanced_line(square_code(), seed=-1), ValueError,
+                 "seed must be >= 0, got -1", id="balanced-line-seed"),
+    pytest.param(lambda: spherical.composite_spoil_down(square_code(), 0.3, seed=-1),
+                 ValueError, "seed must be >= 0, got -1", id="down-seed"),
     pytest.param(lambda: spherical.composite_spoil_down(
                      spherical.SphericalCode([[1.0, 0.0], [-1.0, 0.0]]), 0.1),
                  ValueError, "violated precondition k >= a_c: 1 < 3", id="down-k"),
